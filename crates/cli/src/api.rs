@@ -40,7 +40,9 @@ use std::time::Instant;
 use hhl_assert::EvalCache;
 use hhl_driver::metrics::{counter_line, MetricsRegistry, Stage};
 use hhl_driver::{Scheduler, ShardCounters, ShardStats, VerdictStore};
-use hhl_lang::{begin_session, intern_sizes, SemCache, SessionArena, StableHasher};
+use hhl_lang::{
+    begin_session, intern_sizes, MemoSnapshotStats, SemCache, SessionArena, StableHasher,
+};
 
 use crate::batch::{
     run_batch, run_replay_batch, BatchOptions, BatchRun, MEMO_SNAPSHOT_MAX_ENTRIES,
@@ -1013,12 +1015,15 @@ impl Engine {
     }
 
     /// Exports the engine's memo cache into its store (shutdown, `gc`).
-    /// No-op without a store.
+    /// No-op without a store, or when the snapshot on disk is already
+    /// byte-identical.
     pub fn save_state(&self) {
         if let Some(store) = &self.store {
             let start = Instant::now();
-            let (blob, _) = self.caches.sem.export_snapshot(MEMO_SNAPSHOT_MAX_ENTRIES);
-            store.save_memo(&blob);
+            let (blob, stats) = self.caches.sem.export_snapshot(MEMO_SNAPSHOT_MAX_ENTRIES);
+            if !stats.unchanged {
+                store.save_memo(&blob);
+            }
             self.metrics
                 .record_stage(Stage::Snapshot, start.elapsed().as_nanos() as u64);
         }
@@ -1460,6 +1465,12 @@ impl Engine {
             evictions
         );
         let _ = writeln!(stdout, "sessions: {}", self.sessions.lock().unwrap().len());
+        let memo = self.caches.sem.stats();
+        let _ = writeln!(
+            stdout,
+            "memo: entries={} pending={} hits={} misses={}",
+            memo.entries, memo.pending, memo.hits, memo.misses
+        );
         let sizes = intern_sizes();
         let _ = writeln!(
             stdout,
@@ -1532,21 +1543,23 @@ impl Engine {
         // (already cost-ranked) cache; one-shot gc rebuilds the ranking
         // from the stored blob so eviction keeps the most expensive
         // entries to recompute.
-        let memo = if self.persistent {
-            let (blob, memo) = self.caches.sem.export_snapshot(memo_cap);
-            store.save_memo(&blob);
-            memo
+        let exported = if self.persistent {
+            Some(self.caches.sem.export_snapshot(memo_cap))
         } else {
-            match store.load_memo() {
-                Some(blob) => {
-                    let scratch = SemCache::new();
-                    scratch.import_snapshot(&blob);
-                    let (blob, memo) = scratch.export_snapshot(memo_cap);
+            store.load_memo().map(|blob| {
+                let scratch = SemCache::new();
+                scratch.import_snapshot(&blob);
+                scratch.export_snapshot(memo_cap)
+            })
+        };
+        let memo = match exported {
+            Some((blob, memo)) => {
+                if !memo.unchanged {
                     store.save_memo(&blob);
-                    memo
                 }
-                None => Default::default(),
+                memo
             }
+            None => MemoSnapshotStats::default(),
         };
         let mut stdout = String::new();
         let _ = writeln!(stdout, "gc: {stats}");

@@ -150,9 +150,11 @@ pub struct BatchRun {
     pub store: Option<StoreStats>,
     /// Sharded-replay counters (all-zero when no certificate was sharded).
     pub shards: ShardStats,
-    /// Memo-snapshot entries loaded/rejected at startup.
+    /// Memo-snapshot lines loaded/rejected at startup and materialized
+    /// during the run.
     pub memo_import: MemoImportStats,
-    /// Memo-snapshot entries exported/evicted at shutdown.
+    /// Memo-snapshot entries exported/evicted at shutdown; `unchanged`
+    /// when the snapshot on disk was left as it was.
     pub memo_export: MemoSnapshotStats,
     /// Per-stage/per-rule telemetry and the unified stderr counters.
     pub metrics: MetricsRegistry,
@@ -488,11 +490,10 @@ fn run_jobs(jobs: Vec<Job>, opts: &BatchOptions) -> BatchRun {
         }
     };
     let registry = MetricsRegistry::new();
-    let mut memo_import = MemoImportStats::default();
     if let (Some(cache), Some(store)) = (&caches.sem, &opts.memo_store) {
         let start = Instant::now();
         if let Some(blob) = store.load_memo() {
-            memo_import = cache.import_snapshot(&blob);
+            cache.import_snapshot(&blob);
         }
         registry.record_stage(Stage::Snapshot, start.elapsed().as_nanos() as u64);
     }
@@ -567,11 +568,17 @@ fn run_jobs(jobs: Vec<Job>, opts: &BatchOptions) -> BatchRun {
         })
         .collect();
 
+    let mut memo_import = MemoImportStats::default();
     let mut memo_export = MemoSnapshotStats::default();
+    let mut saved = false;
     if let (Some(cache), Some(store)) = (&caches.sem, &opts.memo_store) {
         let start = Instant::now();
         let (blob, stats) = cache.export_snapshot(MEMO_SNAPSHOT_MAX_ENTRIES);
-        store.save_memo(&blob);
+        saved = !stats.unchanged;
+        if saved {
+            store.save_memo(&blob);
+        }
+        memo_import = cache.snapshot_stats();
         memo_export = stats;
         registry.record_stage(Stage::Snapshot, start.elapsed().as_nanos() as u64);
     }
@@ -616,8 +623,10 @@ fn run_jobs(jobs: Vec<Job>, opts: &BatchOptions) -> BatchRun {
             &[
                 ("loaded", memo_import.loaded),
                 ("rejected", memo_import.rejected),
+                ("materialized", memo_import.materialized),
                 ("exported", memo_export.exported),
                 ("evicted", memo_export.evicted),
+                ("saved", u64::from(saved)),
             ],
         );
     }

@@ -205,7 +205,7 @@ fn serve_stream(engine: &Engine, mut reader: impl BufRead, writer: &mut impl Wri
                 let mut failed = false;
                 engine.handle_stream(&req, &mut |frame| {
                     let respond_start = Instant::now();
-                    let sent = writeln!(writer, "{}", frame.render()).and_then(|()| writer.flush());
+                    let sent = send_line(writer, frame.render());
                     respond += respond_start.elapsed();
                     failed |= sent.is_err();
                 });
@@ -216,11 +216,13 @@ fn serve_stream(engine: &Engine, mut reader: impl BufRead, writer: &mut impl Wri
                 engine
                     .metrics()
                     .record_stage(Stage::Respond, respond.as_nanos() as u64);
-                if failed {
-                    return false;
-                }
+                // A shutdown stops the daemon even when its reply could not
+                // be delivered.
                 if req.action == Action::Shutdown {
                     return true;
+                }
+                if failed {
+                    return false;
                 }
             }
             parsed => {
@@ -246,19 +248,28 @@ fn serve_stream(engine: &Engine, mut reader: impl BufRead, writer: &mut impl Wri
                     ),
                 };
                 let respond_start = Instant::now();
-                let sent = writeln!(writer, "{}", response.render()).and_then(|()| writer.flush());
+                let sent = send_line(writer, response.render());
                 engine
                     .metrics()
                     .record_stage(Stage::Respond, respond_start.elapsed().as_nanos() as u64);
-                if sent.is_err() {
-                    return false;
-                }
                 if action == Some(Action::Shutdown) {
                     return true;
+                }
+                if sent.is_err() {
+                    return false;
                 }
             }
         }
     }
+}
+
+/// Writes one protocol line — the document and its newline — with a single
+/// `write_all`. `writeln!` on an unbuffered socket issues them as two
+/// writes, and a client may act on the document before the newline lands.
+fn send_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
 }
 
 /// Unix-socket transport: one thread per connection over the shared

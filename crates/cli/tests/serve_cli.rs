@@ -539,22 +539,46 @@ fn shutdown_drains_an_idle_connection_without_hanging() {
 
     // Bounded wait: a drain that cannot unblock the idle reader hangs
     // forever, which is exactly the regression this guards against.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll daemon") {
-            break status;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "daemon failed to drain an idle connection within 30s"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    };
+    let status = wait_within_30s(&mut child, "drain an idle connection");
     assert!(status.success(), "daemon exited with {status}");
     assert!(!socket.exists(), "socket file must be gone after shutdown");
     // The idle connection sees end-of-input, not a hang.
     let mut rest = Vec::new();
     let _ = idle_reader.read_to_end(&mut rest);
+}
+
+/// Waits for the daemon to exit, failing the test after 30 s.
+#[cfg(unix)]
+fn wait_within_30s(child: &mut Child, what: &str) -> std::process::ExitStatus {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        if let Some(status) = child.try_wait().expect("poll daemon") {
+            return status;
+        }
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("daemon failed to {what} within 30s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+}
+
+/// A `shutdown` stops the daemon even when its reply cannot be delivered:
+/// the client sends the request and closes at once, without reading.
+#[cfg(unix)]
+#[test]
+fn shutdown_from_a_client_that_closes_without_reading_still_stops_the_daemon() {
+    let (mut child, socket) = spawn_socket_daemon("hangup");
+    let mut client = connect_retry(&socket);
+    client
+        .write_all(b"{\"command\":\"shutdown\"}\n")
+        .expect("send shutdown");
+    drop(client);
+
+    let status = wait_within_30s(&mut child, "shut down for a departed client");
+    assert!(status.success(), "daemon exited with {status}");
+    assert!(!socket.exists(), "socket file must be gone after shutdown");
 }
 
 /// Binding refuses to clobber a *live* daemon: a second daemon pointed at

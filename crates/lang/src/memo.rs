@@ -44,10 +44,12 @@
 //! the freshly published entry. Duplicate evaluation of a leaf is cheaper
 //! than the bookkeeping, so leaves race freely.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -79,6 +81,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently stored.
     pub entries: usize,
+    /// Imported snapshot lines not parsed yet (see
+    /// [`SemCache::import_snapshot`]); each becomes an entry on the first
+    /// lookup of its key.
+    pub pending: usize,
 }
 
 impl CacheStats {
@@ -116,6 +122,38 @@ struct Memoized {
     cost_ns: u64,
 }
 
+/// One lock shard: the resident entries, plus the imported snapshot lines
+/// of the same scopes that no lookup has asked for yet, keyed by the
+/// canonical text ([`write_set`]) of their input set.
+#[derive(Default)]
+struct Shard {
+    memo: HashMap<Scope, HashMap<StateSet, Memoized>>,
+    pending: HashMap<Scope, HashMap<Box<str>, Pending>>,
+}
+
+/// An imported snapshot, kept whole while any of its lines is pending.
+struct Blob {
+    text: Box<str>,
+    /// Its lines are in strictly ascending order, as the exporter writes
+    /// them: their positions then order them as their texts do.
+    sorted: bool,
+}
+
+/// An imported snapshot line, checked but not parsed: where it and its
+/// output-set field sit in the imported blob, and its recorded cost.
+struct Pending {
+    blob: Arc<Blob>,
+    line: Range<usize>,
+    output: Range<usize>,
+    cost_ns: u64,
+}
+
+impl Pending {
+    fn text(&self) -> &str {
+        &self.blob.text[self.line.clone()]
+    }
+}
+
 /// A sharded, thread-safe memo table for extended-semantics evaluations.
 ///
 /// Share one cache across threads with `Arc<SemCache>`; all methods take
@@ -138,7 +176,7 @@ struct Memoized {
 /// assert!(cache.stats().hits > 0);
 /// ```
 pub struct SemCache {
-    shards: Vec<RwLock<HashMap<Scope, HashMap<StateSet, Memoized>>>>,
+    shards: Vec<RwLock<Shard>>,
     /// Per-cache exact interning of finitizations (see [`SemCache::exec_id`]).
     execs: RwLock<ExecTable>,
     /// Compound evaluations currently being computed, for in-flight
@@ -149,6 +187,14 @@ pub struct SemCache {
     /// Exclusive (write) lock acquisitions across all shards and the exec
     /// table — observable via [`SemCache::write_acquisitions`].
     writes: AtomicU64,
+    /// The last imported snapshot: an export that reproduces it byte for
+    /// byte reports itself [`unchanged`](MemoSnapshotStats::unchanged).
+    imported: Mutex<Option<Arc<Blob>>>,
+    /// Snapshot-line counters since construction or [`SemCache::clear`]
+    /// (see [`SemCache::snapshot_stats`]).
+    loaded: AtomicU64,
+    rejected: AtomicU64,
+    materialized: AtomicU64,
 }
 
 /// The marker for one in-flight compound evaluation: waiters sleep on the
@@ -198,12 +244,16 @@ impl SemCache {
     /// An empty cache.
     pub fn new() -> SemCache {
         SemCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
             execs: RwLock::new(ExecTable::default()),
             inflight: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
+            imported: Mutex::new(None),
+            loaded: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            materialized: AtomicU64::new(0),
         }
     }
 
@@ -257,22 +307,32 @@ impl SemCache {
         }
     }
 
-    fn shard(&self, scope: &Scope) -> &RwLock<HashMap<Scope, HashMap<StateSet, Memoized>>> {
+    fn shard(&self, scope: &Scope) -> &RwLock<Shard> {
         let mut h = DefaultHasher::new();
         scope.hash(&mut h);
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
     }
 
     /// Lookups take a shard's *read* lock: concurrent hits never block one
-    /// another, so a warmed-up cache adds no serialization point.
+    /// another, so a warmed-up cache adds no serialization point. A miss in
+    /// a scope with pending snapshot lines tries to [materialize] one.
+    ///
+    /// [materialize]: SemCache::materialize
     fn get(&self, scope: Scope, states: &StateSet) -> Option<StateSet> {
-        let hit = self
-            .shard(&scope)
-            .read()
-            .expect("memo shard poisoned")
-            .get(&scope)
-            .and_then(|by_set| by_set.get(states))
-            .map(|m| m.out.clone());
+        let pending = {
+            let shard = self.shard(&scope).read().expect("memo shard poisoned");
+            let hit = shard.memo.get(&scope).and_then(|by_set| by_set.get(states));
+            if let Some(m) = hit {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(m.out.clone());
+            }
+            shard.pending.contains_key(&scope)
+        };
+        let hit = if pending {
+            self.materialize(scope, states)
+        } else {
+            None
+        };
         match &hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -280,11 +340,49 @@ impl SemCache {
         hit
     }
 
+    /// Answers a miss from the scope's pending snapshot lines: renders the
+    /// queried set canonically and, only if a line carries exactly that
+    /// input text, parses that line's output set and makes it resident.
+    /// A miss never parses anything else. It runs under the shard's write
+    /// lock, so workers racing on one line materialize it once and the
+    /// others find the resident entry.
+    fn materialize(&self, scope: Scope, states: &StateSet) -> Option<StateSet> {
+        let mut key = String::new();
+        write_set(&mut key, states)?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        let mut shard = self.shard(&scope).write().expect("memo shard poisoned");
+        if let Some(m) = shard.memo.get(&scope).and_then(|by_set| by_set.get(states)) {
+            return Some(m.out.clone());
+        }
+        let lines = shard.pending.get_mut(&scope)?;
+        let line = lines.remove(key.as_str())?;
+        if lines.is_empty() {
+            shard.pending.remove(&scope);
+        }
+        let Some(out) = parse_set(&line.blob.text[line.output.clone()]) else {
+            self.loaded.fetch_sub(1, Ordering::Relaxed);
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.materialized.fetch_add(1, Ordering::Relaxed);
+        let memoized = Memoized {
+            out: out.clone(),
+            cost_ns: line.cost_ns,
+        };
+        shard
+            .memo
+            .entry(scope)
+            .or_default()
+            .insert(states.clone(), memoized);
+        Some(out)
+    }
+
     fn insert(&self, scope: Scope, states: StateSet, value: StateSet, cost_ns: u64) {
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.shard(&scope)
             .write()
             .expect("memo shard poisoned")
+            .memo
             .entry(scope)
             .or_default()
             .insert(
@@ -298,8 +396,10 @@ impl SemCache {
 
     /// Total exclusive (write) lock acquisitions so far, across the memo
     /// shards and the finitization table. Deterministically zero for any
-    /// window in which every lookup hits — the contract the concurrency
-    /// regression tests assert instead of relying on wall-clock timing.
+    /// window in which every lookup hits a resident entry — the contract
+    /// the concurrency regression tests assert instead of relying on
+    /// wall-clock timing. (The first lookup of an imported snapshot line
+    /// is a hit that writes once: it makes the line resident.)
     pub fn write_acquisitions(&self) -> u64 {
         self.writes.load(Ordering::Relaxed)
     }
@@ -309,34 +409,50 @@ impl SemCache {
     /// the identical value), so totals are scheduling-dependent while cached
     /// *values* never are.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
+        let mut stats = CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.read()
-                        .expect("memo shard poisoned")
-                        .values()
-                        .map(HashMap::len)
-                        .sum::<usize>()
-                })
-                .sum(),
+            ..CacheStats::default()
+        };
+        for shard in &self.shards {
+            let shard = shard.read().expect("memo shard poisoned");
+            stats.entries += shard.memo.values().map(HashMap::len).sum::<usize>();
+            stats.pending += shard.pending.values().map(HashMap::len).sum::<usize>();
+        }
+        stats
+    }
+
+    /// Snapshot-line counters over every import since construction or
+    /// [`SemCache::clear`]: `loaded` lines were indexed, `rejected` lines
+    /// will never be served (found at import, or when a lookup parses
+    /// them), and `materialized` lines were parsed on demand.
+    pub fn snapshot_stats(&self) -> MemoImportStats {
+        MemoImportStats {
+            loaded: self.loaded.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            materialized: self.materialized.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops every entry (including the finitization-interning table — ids
-    /// are only meaningful against the entries they key) and resets the
-    /// counters.
+    /// Drops every entry and pending snapshot line (including the
+    /// finitization-interning table — ids are only meaningful against the
+    /// entries they key) and resets the counters.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.write().expect("memo shard poisoned").clear();
+            *shard.write().expect("memo shard poisoned") = Shard::default();
         }
         *self.execs.write().expect("exec table poisoned") = ExecTable::default();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
+        *self.imported.lock().expect("imported snapshot poisoned") = None;
+        for counter in [
+            &self.hits,
+            &self.misses,
+            &self.writes,
+            &self.loaded,
+            &self.rejected,
+            &self.materialized,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 
     /// The exact interning id of a finitization (havoc domain + loop fuel)
@@ -488,6 +604,15 @@ impl ExecConfig {
 // line ends in a checksum so disk corruption turns into a rejected line,
 // not a wrong semantics result. Command sources round-trip through
 // `Cmd::to_source` with an emit ∘ parse fixpoint check on both sides.
+//
+// Import is lazy: a warm run typically asks for a handful of the thousands
+// of stored entries, so lines are checked and indexed but their sets are
+// parsed only when a lookup asks for their key, and lines nobody asked for
+// are exported again verbatim. A lookup matches a line only when the
+// line's input text is exactly the canonical rendering of the queried set,
+// so an entry is served under no key but the one its line names; and since
+// the exporter writes every line in that canonical form, copying a line is
+// byte-identical to re-serializing the entry it holds.
 
 /// Snapshot header line; bumping it invalidates old snapshots wholesale.
 /// v3: each line carries the entry's recompute cost (nanoseconds, measured
@@ -508,17 +633,25 @@ pub struct MemoSnapshotStats {
     /// Entries dropped: beyond the entry cap, or not exactly serializable
     /// (an unparseable variable name, an id the tables no longer resolve).
     pub evicted: u64,
+    /// The snapshot is byte-identical to the one this cache last imported,
+    /// so writing it back would change nothing.
+    pub unchanged: bool,
 }
 
-/// Counters from one [`SemCache::import_snapshot`] call.
+/// Snapshot-line counters: from one [`SemCache::import_snapshot`] call, or
+/// cumulative from [`SemCache::snapshot_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoImportStats {
-    /// Entries reconstructed and inserted.
+    /// Lines accepted and indexed; each answers the first lookup of its key.
     pub loaded: u64,
-    /// Lines refused: bad header, failed checksum, malformed fields, or an
-    /// emit ∘ parse mismatch. Rejection is always safe — a rejected entry
-    /// is recomputed, never guessed.
+    /// Lines that will never be served: at import, a bad header, a failed
+    /// checksum, malformed or non-canonical fields, an emit ∘ parse
+    /// mismatch, or a later line with the same key; on demand, an output
+    /// set that does not parse. Rejection is always safe — a rejected
+    /// entry is recomputed, never guessed.
     pub rejected: u64,
+    /// Loaded lines parsed on demand, by the first lookup of their key.
+    pub materialized: u64,
 }
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -526,12 +659,39 @@ const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a/64 line checksum (corruption detection, not cryptography).
 fn line_sum(body: &str) -> u64 {
-    let mut state = FNV64_OFFSET;
-    for &b in body.as_bytes() {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV64_PRIME);
+    fnv(FNV64_OFFSET, body.as_bytes())
+}
+
+fn fnv(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |state, &b| fnv_step(state, b))
+}
+
+fn fnv_step(state: u64, b: u8) -> u64 {
+    (state ^ u64::from(b)).wrapping_mul(FNV64_PRIME)
+}
+
+/// [`line_sum`] of every body. FNV-1a is one serial multiply chain per
+/// input; hashing four bodies in lockstep overlaps their chains, which
+/// makes the checksum pass of an import about three times faster.
+fn line_sums(bodies: &[&str]) -> Vec<u64> {
+    let mut sums = Vec::with_capacity(bodies.len());
+    let mut quads = bodies.chunks_exact(4);
+    for quad in &mut quads {
+        let common = quad.iter().map(|b| b.len()).min().unwrap_or(0);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| &quad[i].as_bytes()[..common]);
+        let mut s = [FNV64_OFFSET; 4];
+        for (((&w, &x), &y), &z) in a.iter().zip(b).zip(c).zip(d) {
+            s = [
+                fnv_step(s[0], w),
+                fnv_step(s[1], x),
+                fnv_step(s[2], y),
+                fnv_step(s[3], z),
+            ];
+        }
+        sums.extend((0..4).map(|i| fnv(s[i], &quad[i].as_bytes()[common..])));
     }
-    state
+    sums.extend(quads.remainder().iter().map(|body| line_sum(body)));
+    sums
 }
 
 fn write_value(out: &mut String, v: &Value) {
@@ -736,6 +896,14 @@ fn parse_set(field: &str) -> Option<StateSet> {
     Some(set)
 }
 
+/// A decimal `u64` written without sign or leading zeros.
+fn canonical_u64(field: &str) -> Option<u64> {
+    let digits = field.as_bytes();
+    let canonical =
+        matches!(digits, [b'0'] | [b'1'..=b'9', ..]) && digits.iter().all(u8::is_ascii_digit);
+    canonical.then(|| field.parse().ok())?
+}
+
 fn parse_domain(field: &str) -> Option<Vec<Value>> {
     let mut sc = Scanner::new(field);
     let mut out = Vec::new();
@@ -762,6 +930,104 @@ fn write_domain(out: &mut String, domain: &[Value]) {
     }
 }
 
+/// The fields of one checked snapshot line: its scope prefix
+/// (`E`, domain, fuel, command source), its input-set text, where its
+/// output-set field sits within the line, and its recorded cost.
+struct LineFields<'a> {
+    prefix: &'a str,
+    input: &'a str,
+    output: Range<usize>,
+    cost_ns: u64,
+}
+
+/// Splits a line into its body and its checksum field: the last 16 bytes,
+/// after a tab.
+fn split_sum(line: &str) -> Option<(&str, &str)> {
+    let at = line.len().checked_sub(17)?;
+    let (body, sum_hex) = (line.get(..at)?, line.get(at..)?);
+    Some((body, sum_hex.strip_prefix('\t')?))
+}
+
+/// Checks one line's checksum against `body_sum`, the [`line_sum`] of its
+/// body ([`split_sum`]), and its field shape (the field count, and the
+/// checksum and cost written as the exporter writes them). The scope
+/// prefix is checked separately, once per distinct prefix
+/// ([`SemCache::resolve_scope`]); the sets are parsed only on demand.
+fn check_line(line: &str, body_sum: u64) -> Option<LineFields<'_>> {
+    let (body, sum_hex) = split_sum(line)?;
+    let lower_hex = sum_hex
+        .bytes()
+        .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+    if !lower_hex || u64::from_str_radix(sum_hex, 16).ok()? != body_sum {
+        return None;
+    }
+    // `E`, domain, fuel, source, input, output, cost: six tabs.
+    let mut tabs = [0; 6];
+    let mut found = body.match_indices('\t').map(|(at, _)| at);
+    for tab in &mut tabs {
+        *tab = found.next()?;
+    }
+    if found.next().is_some() {
+        return None;
+    }
+    Some(LineFields {
+        prefix: &body[..tabs[3]],
+        input: &body[tabs[3] + 1..tabs[4]],
+        output: tabs[4] + 1..tabs[5],
+        cost_ns: canonical_u64(&body[tabs[5] + 1..])?,
+    })
+}
+
+/// A candidate line of an export: a resident entry, rendered only if the
+/// cap's cut reaches its cost, or an untouched pending line, copied as is.
+enum Candidate<'a> {
+    Entry {
+        prefix: usize,
+        input: &'a StateSet,
+        out: &'a StateSet,
+    },
+    Line(&'a Pending),
+}
+
+/// A line an export retains: an untouched pending line, or a rendered
+/// entry.
+enum Kept<'a> {
+    Line(&'a Pending),
+    Rendered(String),
+}
+
+impl Kept<'_> {
+    fn text(&self) -> &str {
+        match self {
+            Kept::Line(line) => line.text(),
+            Kept::Rendered(text) => text,
+        }
+    }
+
+    /// Text order. Lines of one sorted blob compare by position instead,
+    /// which is the same order without reading their bytes.
+    fn text_order(&self, other: &Kept) -> std::cmp::Ordering {
+        match (self, other) {
+            (Kept::Line(a), Kept::Line(b)) if a.blob.sorted && Arc::ptr_eq(&a.blob, &b.blob) => {
+                a.line.start.cmp(&b.line.start)
+            }
+            _ => self.text().cmp(other.text()),
+        }
+    }
+}
+
+/// Renders one snapshot line: `prefix`, both sets, the cost, the checksum.
+fn render_line(prefix: &str, input: &StateSet, out: &StateSet, cost_ns: u64) -> Option<String> {
+    let mut body = String::from(prefix);
+    write_set(&mut body, input)?;
+    body.push('\t');
+    write_set(&mut body, out)?;
+    let _ = fmt::Write::write_fmt(&mut body, format_args!("\t{cost_ns}"));
+    let sum = line_sum(&body);
+    let _ = fmt::Write::write_fmt(&mut body, format_args!("\t{sum:016x}"));
+    Some(body)
+}
+
 impl SemCache {
     /// Serializes up to `max_entries` memo entries as a textual snapshot.
     ///
@@ -776,6 +1042,11 @@ impl SemCache {
     /// most expensive to re-evaluate. The retained lines are then sorted
     /// lexicographically, so the serialized form stays canonical for a
     /// given retained set.
+    ///
+    /// Imported lines no lookup asked for take part in the ranking with
+    /// their recorded cost and are copied verbatim; resident entries are
+    /// rendered only when they make the cut (or tie at it). The output is
+    /// byte-identical to re-serializing every entry.
     ///
     /// # Examples
     ///
@@ -795,14 +1066,20 @@ impl SemCache {
     /// assert_eq!(warm.import_snapshot(&snapshot).loaded, 1);
     /// assert_eq!(cfg.sem_memo(&c, &s, &warm), cfg.sem(&c, &s));
     /// assert_eq!(warm.stats().hits, 1); // answered from the snapshot
+    /// assert!(warm.export_snapshot(1024).1.unchanged);
     /// ```
     pub fn export_snapshot(&self, max_entries: usize) -> (String, MemoSnapshotStats) {
         let mut stats = MemoSnapshotStats::default();
-        let mut ranked: Vec<(u64, String)> = Vec::new();
         let finitizations = self.finitizations_by_id();
-        for shard in &self.shards {
-            let guard = shard.read().expect("memo shard poisoned");
-            for (&(exec_id, cmd_id), by_set) in guard.iter() {
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.read().expect("memo shard poisoned"))
+            .collect();
+        let mut prefixes: Vec<String> = Vec::new();
+        let mut ranked: Vec<(u64, Candidate)> = Vec::new();
+        for shard in &shards {
+            for (&(exec_id, cmd_id), by_set) in &shard.memo {
                 let scope = finitizations
                     .get(exec_id as usize)
                     .and_then(|(domain, fuel)| {
@@ -810,115 +1087,206 @@ impl SemCache {
                         let src = cmd.to_source();
                         // Exactness gate: only export commands whose canonical
                         // source re-parses to the identical tree.
-                        (parse_cmd(&src).ok()? == cmd).then_some((domain.clone(), *fuel, src))
+                        (parse_cmd(&src).ok()? == cmd).then_some((domain, *fuel, src))
                     });
                 let Some((domain, fuel, src)) = scope else {
                     stats.evicted += by_set.len() as u64;
                     continue;
                 };
                 let mut prefix = String::from("E\t");
-                write_domain(&mut prefix, &domain);
+                write_domain(&mut prefix, domain);
                 let _ = fmt::Write::write_fmt(&mut prefix, format_args!("\t{fuel}\t{src}\t"));
-                for (input, memoized) in by_set.iter() {
-                    let mut body = prefix.clone();
-                    let ok = write_set(&mut body, input).and_then(|()| {
-                        body.push('\t');
-                        write_set(&mut body, &memoized.out)
-                    });
-                    if ok.is_none() {
-                        stats.evicted += 1;
-                        continue;
-                    }
-                    let _ =
-                        fmt::Write::write_fmt(&mut body, format_args!("\t{}", memoized.cost_ns));
-                    let sum = line_sum(&body);
-                    let _ = fmt::Write::write_fmt(&mut body, format_args!("\t{sum:016x}"));
-                    ranked.push((memoized.cost_ns, body));
-                }
+                let at = prefixes.len();
+                prefixes.push(prefix);
+                ranked.extend(by_set.iter().map(|(input, m)| {
+                    let entry = Candidate::Entry {
+                        prefix: at,
+                        input,
+                        out: &m.out,
+                    };
+                    (m.cost_ns, entry)
+                }));
+            }
+            for lines in shard.pending.values() {
+                ranked.extend(lines.values().map(|l| (l.cost_ns, Candidate::Line(l))));
             }
         }
-        if ranked.len() > max_entries {
-            // Keep the entries most expensive to recompute; ties break on
-            // line text so the retained set is a function of the costs.
-            ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-            stats.evicted += (ranked.len() - max_entries) as u64;
-            ranked.truncate(max_entries);
+        // Walk the candidates by descending cost, one group of equal cost at
+        // a time: only the group the cap cuts through needs its line texts
+        // compared (ties break on line text, so the retained set is a
+        // function of the costs), and no group past the cap is rendered.
+        ranked.sort_unstable_by_key(|&(cost, _)| Reverse(cost));
+        let mut kept: Vec<Kept> = Vec::new();
+        for group in ranked.chunk_by(|a, b| a.0 == b.0) {
+            let room = max_entries - kept.len();
+            if room == 0 {
+                stats.evicted += group.len() as u64;
+                continue;
+            }
+            let start = kept.len();
+            kept.extend(
+                group
+                    .iter()
+                    .filter_map(|(cost, candidate)| match candidate {
+                        Candidate::Entry { prefix, input, out } => {
+                            render_line(&prefixes[*prefix], input, out, *cost).map(Kept::Rendered)
+                        }
+                        Candidate::Line(line) => Some(Kept::Line(line)),
+                    }),
+            );
+            let added = kept.len() - start;
+            stats.evicted += (group.len() - added) as u64;
+            if added > room {
+                kept[start..].sort_unstable_by(Kept::text_order);
+                stats.evicted += (added - room) as u64;
+                kept.truncate(start + room);
+            }
         }
-        let mut lines: Vec<String> = ranked.into_iter().map(|(_, line)| line).collect();
-        lines.sort_unstable();
-        stats.exported = lines.len() as u64;
-        let mut out = String::from(SNAPSHOT_HEADER);
+        kept.sort_unstable_by(Kept::text_order);
+        stats.exported = kept.len() as u64;
+        let size = kept.iter().map(|l| l.text().len() + 1).sum::<usize>();
+        let mut out = String::with_capacity(SNAPSHOT_HEADER.len() + 1 + size);
+        out.push_str(SNAPSHOT_HEADER);
         out.push('\n');
-        for line in &lines {
-            out.push_str(line);
+        for line in &kept {
+            out.push_str(line.text());
             out.push('\n');
         }
+        stats.unchanged = self
+            .imported
+            .lock()
+            .expect("imported snapshot poisoned")
+            .as_ref()
+            .is_some_and(|blob| *blob.text == *out);
         (out, stats)
     }
 
-    /// Loads entries from a snapshot produced by
-    /// [`SemCache::export_snapshot`].
+    /// Loads a snapshot produced by [`SemCache::export_snapshot`], lazily.
     ///
-    /// Each line's checksum is verified and its key is reconstructed
-    /// exactly (the command source must re-emit to the same text it was
-    /// parsed from). Any line that fails any of these checks — truncation,
-    /// bit flips, a foreign or future format — is counted as `rejected` and
-    /// skipped: corruption can cost recomputation, never correctness.
+    /// Each line's checksum and field shape are verified, and its scope is
+    /// reconstructed exactly: the finitization, fuel, cost and checksum
+    /// must be written as the exporter writes them, and the command source
+    /// must re-emit to the same text it was parsed from. Any line that
+    /// fails — truncation, bit flips, a foreign or future format — is
+    /// counted as `rejected` and skipped: corruption can cost
+    /// recomputation, never correctness.
+    ///
+    /// Accepted lines are indexed by scope and input-set text, not parsed:
+    /// the first lookup whose set renders to exactly that text parses the
+    /// line's output set and makes it an entry
+    /// ([`MemoImportStats::materialized`]; an output set that does not
+    /// parse is rejected then), and lines nobody asks for cost only their
+    /// share of the scan.
     pub fn import_snapshot(&self, snapshot: &str) -> MemoImportStats {
         let mut stats = MemoImportStats::default();
         let mut lines = snapshot.lines();
         if lines.next() != Some(SNAPSHOT_HEADER) {
             stats.rejected = snapshot.lines().filter(|l| !l.is_empty()).count() as u64;
+            self.rejected.fetch_add(stats.rejected, Ordering::Relaxed);
             return stats;
         }
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            if self.import_line(line).is_none() {
+        let lines: Vec<&str> = lines.filter(|l| !l.is_empty()).collect();
+        let blob = Arc::new(Blob {
+            text: snapshot.into(),
+            sorted: lines.windows(2).all(|pair| pair[0] < pair[1]),
+        });
+        let bodies: Vec<&str> = lines
+            .iter()
+            .map(|line| split_sum(line).map_or("", |(body, _)| body))
+            .collect();
+        let mut scopes: HashMap<&str, Option<Scope>> = HashMap::new();
+        // Lines of one scope are adjacent in a sorted snapshot: compare
+        // with the previous prefix before hashing into the table.
+        let mut last: Option<(&str, Option<Scope>)> = None;
+        let mut indexed: HashMap<Scope, Vec<(Box<str>, Pending)>> = HashMap::new();
+        for (line, sum) in lines.iter().zip(line_sums(&bodies)) {
+            let start = line.as_ptr() as usize - snapshot.as_ptr() as usize;
+            let checked = check_line(line, sum).and_then(|fields| {
+                let scope = match last {
+                    Some((prefix, scope)) if prefix == fields.prefix => scope,
+                    _ => {
+                        let scope = *scopes
+                            .entry(fields.prefix)
+                            .or_insert_with(|| self.resolve_scope(fields.prefix));
+                        last = Some((fields.prefix, scope));
+                        scope
+                    }
+                };
+                Some((scope?, fields))
+            });
+            let Some((scope, fields)) = checked else {
                 stats.rejected += 1;
-            } else {
-                stats.loaded += 1;
+                continue;
+            };
+            let pending = Pending {
+                blob: Arc::clone(&blob),
+                line: start..start + line.len(),
+                output: start + fields.output.start..start + fields.output.end,
+                cost_ns: fields.cost_ns,
+            };
+            stats.loaded += 1;
+            indexed
+                .entry(scope)
+                .or_default()
+                .push((fields.input.into(), pending));
+        }
+        for (scope, lines) in indexed {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            let mut shard = self.shard(&scope).write().expect("memo shard poisoned");
+            let pending = shard.pending.entry(scope).or_default();
+            pending.reserve(lines.len());
+            for (input, line) in lines {
+                // A later line with the same key supersedes an earlier one,
+                // as the last write of that key would.
+                if pending.insert(input, line).is_some() {
+                    stats.loaded -= 1;
+                    stats.rejected += 1;
+                }
+            }
+            // Importing into a warm cache: a line supersedes the resident
+            // entry under its key, as an overwrite would.
+            let Shard { memo, pending } = &mut *shard;
+            if let (Some(resident), Some(lines)) = (memo.get_mut(&scope), pending.get(&scope)) {
+                resident.retain(|input, _| {
+                    let mut key = String::new();
+                    write_set(&mut key, input).is_none() || !lines.contains_key(key.as_str())
+                });
             }
         }
+        self.loaded.fetch_add(stats.loaded, Ordering::Relaxed);
+        self.rejected.fetch_add(stats.rejected, Ordering::Relaxed);
+        *self.imported.lock().expect("imported snapshot poisoned") = Some(blob);
         stats
     }
 
-    fn import_line(&self, line: &str) -> Option<()> {
-        let (body, sum_hex) = line.rsplit_once('\t')?;
-        let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-        if sum != line_sum(body) || sum_hex.len() != 16 {
-            return None;
-        }
-        let mut fields = body.split('\t');
+    /// Resolves a line's scope prefix (`E`, domain, fuel, command source)
+    /// to its memo scope, or `None` unless every field is in the exact
+    /// canonical form the exporter writes — in particular the command
+    /// source must re-emit to the same text (an emit ∘ parse fixpoint), so
+    /// a printer/parser mismatch can never smuggle a result under the
+    /// wrong key.
+    fn resolve_scope(&self, prefix: &str) -> Option<Scope> {
+        let mut fields = prefix.split('\t');
         if fields.next() != Some("E") {
             return None;
         }
-        let domain = parse_domain(fields.next()?)?;
-        let fuel: u32 = fields.next()?.parse().ok()?;
-        let src = fields.next()?;
-        let input = parse_set(fields.next()?)?;
-        let output = parse_set(fields.next()?)?;
-        let cost_ns: u64 = fields.next()?.parse().ok()?;
+        let (domain_text, fuel, src) = (fields.next()?, fields.next()?, fields.next()?);
         if fields.next().is_some() {
             return None;
         }
+        let domain = parse_domain(domain_text)?;
+        let mut emitted = String::new();
+        write_domain(&mut emitted, &domain);
+        let fuel = u32::try_from(canonical_u64(fuel)?).ok()?;
         let cmd = parse_cmd(src).ok()?;
-        // Emit ∘ parse fixpoint: the reconstructed command must serialize
-        // back to exactly the text on disk, so a printer/parser mismatch
-        // can never smuggle a result under the wrong key.
-        if cmd.to_source() != src {
+        if emitted != domain_text || cmd.to_source() != src {
             return None;
         }
         let exec = ExecConfig {
             havoc_domain: domain,
             loop_fuel: fuel,
         };
-        let scope: Scope = (self.exec_id(&exec), intern_cmd(&cmd));
-        // The imported cost is the recorded one, so a re-export reproduces
-        // the snapshot byte-for-byte and cost ranking survives round trips.
-        self.insert(scope, input, output, cost_ns);
-        Some(())
+        Some((self.exec_id(&exec), intern_cmd(&cmd)))
     }
 }
 
@@ -1235,5 +1603,205 @@ mod tests {
         assert!(stats.hit_rate() > 0.49);
         cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    /// A cache warmed by seeded random programs over seeded input sets,
+    /// and the queries that warmed it.
+    fn seeded_warm_cache(seed: u64) -> (SemCache, ExecConfig, Vec<(Cmd, StateSet)>) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let cache = SemCache::new();
+        let cfg = ExecConfig::int_range(-1, 1).fuel(6);
+        let queries: Vec<(Cmd, StateSet)> = (0..40)
+            .map(|_| {
+                let cmd = random_cmd(&mut rng, 3);
+                let states: Vec<i64> = (0..rng.gen_below(4))
+                    .map(|_| rng.gen_below(3) as i64 - 1)
+                    .collect();
+                (cmd, set(&states))
+            })
+            .collect();
+        for (cmd, s) in &queries {
+            cfg.sem_memo(cmd, s, &cache);
+        }
+        (cache, cfg, queries)
+    }
+
+    #[test]
+    fn lazy_import_answers_exactly_the_hits_of_an_eager_warm_cache() {
+        // The cache that wrote the snapshot holds every exported entry, so
+        // it is what an eager import would have built: the lazy cache must
+        // hit and miss exactly where it does, with results equal to `sem`.
+        let (eager, cfg, warmup) = seeded_warm_cache(0x1A2E);
+        let (snapshot, stats) = eager.export_snapshot(usize::MAX);
+        assert_eq!(stats.evicted, 0, "the snapshot holds every entry");
+        let lazy = SemCache::new();
+        lazy.import_snapshot(&snapshot);
+        assert!(lazy.stats().pending > 0);
+        let (_, _, fresh) = seeded_warm_cache(0xF2E5);
+        let before = eager.stats();
+        for (cmd, s) in warmup.iter().chain(&fresh) {
+            let expected = cfg.sem(cmd, s);
+            assert_eq!(cfg.sem_memo(cmd, s, &eager), expected, "{cmd}");
+            assert_eq!(cfg.sem_memo(cmd, s, &lazy), expected, "{cmd}");
+        }
+        let (after, got) = (eager.stats(), lazy.stats());
+        assert_eq!(got.hits, after.hits - before.hits, "{got:?}");
+        assert_eq!(got.misses, after.misses - before.misses, "{got:?}");
+        assert!(lazy.snapshot_stats().materialized > 0);
+    }
+
+    #[test]
+    fn untouched_lines_export_verbatim_and_unchanged() {
+        let (cache, cfg, queries) = seeded_warm_cache(0x7E1);
+        let (snapshot, stats) = cache.export_snapshot(usize::MAX);
+        assert!(!stats.unchanged, "nothing was imported");
+
+        // Import → export with no lookups reproduces the blob.
+        let lazy = SemCache::new();
+        lazy.import_snapshot(&snapshot);
+        let (again, again_stats) = lazy.export_snapshot(usize::MAX);
+        assert_eq!(again, snapshot);
+        assert!(again_stats.unchanged);
+
+        // Partial use: half the queries materialize their lines; the
+        // export is still the same bytes.
+        for (cmd, s) in queries.iter().step_by(2) {
+            cfg.sem_memo(cmd, s, &lazy);
+        }
+        let used = lazy.stats();
+        assert!(used.entries > 0 && used.pending > 0, "{used:?}");
+        assert_eq!(used.misses, 0, "{used:?}");
+        let (again, again_stats) = lazy.export_snapshot(usize::MAX);
+        assert_eq!(again, snapshot);
+        assert!(again_stats.unchanged);
+
+        // A fresh result changes the bytes.
+        cfg.sem_memo(&parse_cmd("x := x + 7").unwrap(), &set(&[1]), &lazy);
+        assert!(!lazy.export_snapshot(usize::MAX).1.unchanged);
+    }
+
+    #[test]
+    fn capped_export_of_resident_and_pending_lines_matches_the_resident_export() {
+        // Costs with ties, so some caps cut through a tie group: the mixed
+        // export (some lines materialized, some pending) must pick and
+        // write exactly the lines the all-resident cache does.
+        let cache = SemCache::new();
+        let cfg = ExecConfig::int_range(0, 1);
+        let exec = cache.exec_id(&cfg);
+        let costs = [5, 5, 5, 3, 3, 1, 9, 3];
+        let inputs: Vec<(Cmd, StateSet)> = (0..costs.len() as i64)
+            .map(|i| (parse_cmd(&format!("x := x + {i}")).unwrap(), set(&[0])))
+            .collect();
+        for ((cmd, input), cost) in inputs.iter().zip(costs) {
+            let scope: Scope = (exec, intern_cmd(cmd));
+            cache.insert(scope, input.clone(), cfg.sem(cmd, input), cost);
+        }
+        let (full, _) = cache.export_snapshot(usize::MAX);
+        let lazy = SemCache::new();
+        lazy.import_snapshot(&full);
+        for (cmd, input) in inputs.iter().step_by(3) {
+            cfg.sem_memo(cmd, input, &lazy);
+        }
+        assert_eq!(lazy.snapshot_stats().materialized, 3);
+        for cap in 0..=costs.len() + 1 {
+            let (mixed, mixed_stats) = lazy.export_snapshot(cap);
+            let (resident, resident_stats) = cache.export_snapshot(cap);
+            assert_eq!(mixed, resident, "cap {cap}");
+            assert_eq!(mixed_stats.exported, resident_stats.exported);
+            assert_eq!(mixed_stats.evicted, resident_stats.evicted);
+        }
+    }
+
+    #[test]
+    fn a_line_that_fails_to_parse_on_demand_is_rejected_not_served() {
+        // A checksummed line with a malformed output set passes the
+        // import's shape check; the lookup that reaches it rejects it and
+        // recomputes.
+        let cache = SemCache::new();
+        let cfg = ExecConfig::int_range(0, 1);
+        let cmd = parse_cmd("x := x + 1").unwrap();
+        let input = set(&[0]);
+        cfg.sem_memo(&cmd, &input, &cache);
+        let (snapshot, _) = cache.export_snapshot(usize::MAX);
+        let line = snapshot.lines().nth(1).expect("one entry line");
+        let fields: Vec<&str> = line.split('\t').collect();
+        let mut body = fields[..5].join("\t");
+        body.push_str("\t{x=1\t");
+        body.push_str(fields[6]);
+        let broken = format!("{SNAPSHOT_HEADER}\n{body}\t{:016x}\n", line_sum(&body));
+
+        let lazy = SemCache::new();
+        assert_eq!(lazy.import_snapshot(&broken).loaded, 1);
+        assert_eq!(cfg.sem_memo(&cmd, &input, &lazy), cfg.sem(&cmd, &input));
+        let counts = lazy.snapshot_stats();
+        assert_eq!((counts.loaded, counts.rejected), (0, 1), "{counts:?}");
+        assert_eq!(counts.materialized, 0);
+        assert_eq!(lazy.stats().misses, 1);
+        let (again, stats) = lazy.export_snapshot(usize::MAX);
+        assert_eq!(stats.exported, 1, "the recomputed entry replaces the line");
+        assert!(!again.contains("{x=1\t"), "{again}");
+        assert!(!stats.unchanged);
+    }
+
+    #[test]
+    fn malformed_line_shapes_are_rejected_without_panicking() {
+        let cache = SemCache::new();
+        let cfg = ExecConfig::int_range(0, 1);
+        cfg.sem_memo(&parse_cmd("x := x + 1").unwrap(), &set(&[0]), &cache);
+        let (snapshot, _) = cache.export_snapshot(usize::MAX);
+        let line = snapshot.lines().nth(1).expect("one entry line");
+        let (body, _) = line.rsplit_once('\t').unwrap();
+        let (head, cost) = body.rsplit_once('\t').unwrap();
+        let resum = |body: &str| format!("{body}\t{:016x}", line_sum(body));
+        let bad_lines = [
+            String::new(),
+            "\t".repeat(20),
+            format!("{body}\t{:016X}", line_sum(body)),
+            resum(&format!("{head}\t")),
+            resum(&format!("{head}\t+{cost}")),
+            resum(&format!("{head}\t0{cost}")),
+            resum(&format!("{head}\t{cost}\t1")),
+            resum(&head.replacen("E\t", "E\t0", 1)),
+            resum(&head.replacen("E\t", "F\t", 1)),
+            resum(&head.replacen("\t32\t", "\t032\t", 1)),
+        ];
+        for bad in &bad_lines {
+            let lazy = SemCache::new();
+            let stats = lazy.import_snapshot(&format!("{SNAPSHOT_HEADER}\n{bad}\n"));
+            assert_eq!(stats.loaded, 0, "accepted {bad:?}");
+        }
+        assert_eq!(SemCache::new().import_snapshot(&snapshot).loaded, 1);
+    }
+
+    #[test]
+    fn importing_into_a_warm_cache_keeps_one_line_per_key() {
+        // Every line supersedes the resident entry under its key, as an
+        // overwrite would: the export names each key once.
+        let (cache, _, _) = seeded_warm_cache(0x3A4);
+        let (snapshot, stats) = cache.export_snapshot(usize::MAX);
+        let imported = cache.import_snapshot(&snapshot);
+        assert_eq!(imported.loaded, stats.exported);
+        assert_eq!(cache.stats().pending as u64, stats.exported);
+        let (again, again_stats) = cache.export_snapshot(usize::MAX);
+        assert_eq!(again, snapshot);
+        assert!(again_stats.unchanged);
+    }
+
+    #[test]
+    fn clear_drops_pending_lines() {
+        let (cache, cfg, queries) = seeded_warm_cache(0xC1EA);
+        let (snapshot, _) = cache.export_snapshot(usize::MAX);
+        let lazy = SemCache::new();
+        lazy.import_snapshot(&snapshot);
+        assert!(lazy.stats().pending > 0);
+        lazy.clear();
+        assert_eq!(lazy.stats(), CacheStats::default());
+        assert_eq!(lazy.snapshot_stats(), MemoImportStats::default());
+        let (cmd, s) = &queries[0];
+        assert_eq!(cfg.sem_memo(cmd, s, &lazy), cfg.sem(cmd, s));
+        assert_eq!(lazy.stats().hits, 0, "a cleared line must not answer");
+        let (empty, stats) = lazy.export_snapshot(0);
+        assert_eq!(empty, format!("{SNAPSHOT_HEADER}\n"));
+        assert!(!stats.unchanged);
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! The snapshot round-trip is exercised under the same racing layout: a
 //! cache warmed concurrently must export a snapshot that a fresh cache
-//! imports wholesale and re-exports byte-identically.
+//! imports wholesale and re-exports byte-identically, and workers racing
+//! on an imported line must parse it once.
 
 use hhl_lang::rng::Rng;
 use hhl_lang::{parse_cmd, Cmd, ExecConfig, ExtState, SemCache, StateSet, Store, Value};
@@ -124,10 +125,78 @@ fn snapshot_roundtrips_after_concurrent_warming() {
     let (again, _) = fresh.export_snapshot(usize::MAX);
     assert_eq!(snapshot, again);
 
-    // And the imported entries answer without recomputation or writes.
+    // And the imported entries answer without recomputation: every lookup
+    // hits, and the only writes are the one-time materializations of the
+    // lines asked for. Once resident, they answer without writes.
     let warmed = fresh.write_acquisitions();
     for (exec, cmd, s) in &triples {
         assert_eq!(&exec.sem_memo(cmd, s, &fresh), &exec.sem(cmd, s));
     }
-    assert_eq!(fresh.write_acquisitions(), warmed);
+    let materialized = fresh.snapshot_stats().materialized;
+    assert!(materialized > 0);
+    assert_eq!(fresh.stats().misses, 0, "{:?}", fresh.stats());
+    assert_eq!(fresh.write_acquisitions(), warmed + materialized);
+    for (exec, cmd, s) in &triples {
+        assert_eq!(&exec.sem_memo(cmd, s, &fresh), &exec.sem(cmd, s));
+    }
+    assert_eq!(fresh.write_acquisitions(), warmed + materialized);
+}
+
+#[test]
+fn racing_workers_materialize_each_pending_line_once() {
+    let triples = workload(SEED ^ 2);
+    let warm = SemCache::new();
+    for (exec, cmd, s) in &triples {
+        exec.sem_memo(cmd, s, &warm);
+    }
+    let (snapshot, _) = warm.export_snapshot(usize::MAX);
+    let (exec, cmd, s) = triples
+        .iter()
+        .find(|(_, cmd, _)| !matches!(cmd, Cmd::Skip))
+        .expect("a non-skip triple");
+    let expected = exec.sem(cmd, s);
+
+    // Eight workers released together on one imported key: one parses the
+    // line, the rest find the entry it made resident.
+    let lazy = SemCache::new();
+    lazy.import_snapshot(&snapshot);
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(|| {
+                barrier.wait();
+                assert_eq!(&exec.sem_memo(cmd, s, &lazy), &expected);
+            });
+        }
+    });
+    assert_eq!(lazy.snapshot_stats().materialized, 1);
+    assert_eq!(lazy.stats().hits, 8, "{:?}", lazy.stats());
+
+    // The whole workload raced: each line asked for is parsed exactly once,
+    // as many as a single worker parses.
+    let serial = SemCache::new();
+    serial.import_snapshot(&snapshot);
+    for (exec, cmd, s) in &triples {
+        exec.sem_memo(cmd, s, &serial);
+    }
+    let raced = SemCache::new();
+    raced.import_snapshot(&snapshot);
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        for t in 0..8u64 {
+            let (triples, raced, barrier) = (&triples, &raced, &barrier);
+            scope.spawn(move || {
+                let mut order: Vec<usize> = (0..triples.len()).collect();
+                Rng::seed_from_u64(SEED ^ t).shuffle(&mut order);
+                barrier.wait();
+                for &i in &order {
+                    let (exec, cmd, s) = &triples[i];
+                    assert_eq!(exec.sem_memo(cmd, s, raced), exec.sem(cmd, s));
+                }
+            });
+        }
+    });
+    let (raced, serial) = (raced.snapshot_stats(), serial.snapshot_stats());
+    assert_eq!(raced.materialized, serial.materialized, "{raced:?}");
+    assert_eq!(raced.rejected, 0);
 }

@@ -189,7 +189,12 @@ fn warm_run_is_fully_cached_and_byte_identical() {
     assert_eq!(cold.report().exit_code(), 0, "{}", cold.report());
     assert_eq!(cold.report().to_string(), truth);
 
+    let memo = cache.join(hhl_driver::store::MEMO_FILE);
+    let cold_memo = fs::read(&memo).expect("memo snapshot exists");
     let warm = batch_with(&corpus.files, &store_at(&cache, false));
+    // Nothing was evaluated, so the snapshot is left as the cold run wrote it.
+    assert!(warm.memo_export.unchanged, "{:?}", warm.memo_export);
+    assert_eq!(fs::read(&memo).unwrap(), cold_memo);
     let stats = warm.store.expect("store configured");
     assert_eq!(
         stats.misses, 0,
@@ -372,7 +377,7 @@ fn corrupt_memo_snapshot_rejects_lines_and_changes_nothing() {
     let (header, entries) = blob.split_once('\n').expect("snapshot has a header");
     let torn = format!("{header}\n{}", entries.replacen('1', "2", 30));
     assert_ne!(torn, blob, "some entry line was corrupted");
-    fs::write(&memo, torn).unwrap();
+    fs::write(&memo, &torn).unwrap();
 
     let warm = batch_with(&corpus.files, &store_at(&cache, false));
     assert!(
@@ -381,6 +386,16 @@ fn corrupt_memo_snapshot_rejects_lines_and_changes_nothing() {
         warm.memo_import
     );
     assert_eq!(warm.report().to_string(), truth, "verdicts unaffected");
+    // Untouched lines are copied into the next snapshot verbatim; no
+    // corrupted line may be among them.
+    let intact: HashSet<&str> = blob.lines().collect();
+    let corrupted: Vec<&str> = torn.lines().filter(|l| !intact.contains(l)).collect();
+    assert!(!corrupted.is_empty());
+    let next = fs::read_to_string(&memo).expect("memo snapshot rewritten");
+    let next: HashSet<&str> = next.lines().collect();
+    for line in corrupted {
+        assert!(!next.contains(line), "corrupted line survived: {line}");
+    }
 
     // Replacing the blob with garbage shifts everything to rejected and
     // still changes nothing.
