@@ -270,11 +270,20 @@ fn cmd_compare(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let Some(kind) = suites::parse_bench_kind(&json) else {
-            eprintln!("error: {path}: no \"bench\" field");
-            return ExitCode::from(2);
+        let parsed = suites::parse_bench_kind(&json).and_then(|kind| {
+            Ok((
+                kind,
+                suites::parse_results(&json)?,
+                suites::parse_meta(&json)?,
+            ))
+        });
+        let (kind, old, baseline_meta) = match parsed {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("error: {path}: malformed baseline: {e}");
+                return ExitCode::from(2);
+            }
         };
-        let old = suites::parse_results(&json);
         if old.is_empty() {
             eprintln!("error: {path}: no results to compare");
             return ExitCode::from(2);
@@ -312,7 +321,6 @@ fn cmd_compare(args: &[String]) -> ExitCode {
                 println!("{name:<44} {:>12} {new_ns:>10}ns {:>9}", "new", "-");
             }
         }
-        let baseline_meta = suites::parse_meta(&json);
         regressions += scaling_gate(&baseline_meta, &new_meta);
         regressions += pool_gate(&baseline_meta, &new_meta);
         regressions += serve_concurrent_gate(&baseline_meta, &new_meta);

@@ -18,6 +18,7 @@ use hhl_assert::{Assertion, EvalCache, Universe};
 use hhl_cli::{parse_spec, run_replay, run_replay_sharded, run_spec, Spec};
 use hhl_core::proof::{check, wp_derivation, ProofContext};
 use hhl_core::ValidityConfig;
+use hhl_driver::json::{escape_json, parse_json, Json};
 use hhl_driver::pool::{run_ordered, Scheduler};
 use hhl_driver::ShardCounters;
 use hhl_lang::{Cmd, Expr, SemCache};
@@ -690,20 +691,24 @@ fn store_times(entries: &[CorpusEntry], repeats: usize) -> StoreProbe {
     }
 }
 
-/// Renders a baseline JSON document (hand-rolled — the workspace is
-/// offline, no serde). `meta` values must already be valid JSON scalars.
+/// Renders a baseline JSON document. `meta` values must already be JSON
+/// numbers (their spelling is kept verbatim).
 pub fn render_json(
     bench: &str,
     unit: &str,
     results: &[(String, u128)],
     meta: &[(String, String)],
 ) -> String {
-    let mut json = format!("{{\n  \"bench\": \"{bench}\",\n  \"unit\": \"{unit}\",\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"{}\",\n  \"unit\": \"{}\",\n",
+        escape_json(bench),
+        escape_json(unit)
+    );
     if !meta.is_empty() {
         json.push_str("  \"meta\": {\n");
         for (i, (key, value)) in meta.iter().enumerate() {
             let comma = if i + 1 < meta.len() { "," } else { "" };
-            let _ = writeln!(json, "    \"{key}\": {value}{comma}");
+            let _ = writeln!(json, "    \"{}\": {value}{comma}", escape_json(key));
         }
         json.push_str("  },\n");
     }
@@ -712,59 +717,52 @@ pub fn render_json(
         let comma = if i + 1 < results.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{name}\", \"median_ns\": {ns}}}{comma}"
+            "    {{\"name\": \"{}\", \"median_ns\": {ns}}}{comma}",
+            escape_json(name)
         );
     }
     json.push_str("  ]\n}\n");
     json
 }
 
-/// Extracts the `bench` field of a baseline document.
-pub fn parse_bench_kind(json: &str) -> Option<String> {
-    let tail = json.split("\"bench\":").nth(1)?;
-    let value = tail.split('"').nth(1)?;
-    Some(value.to_owned())
+/// Reads the `bench` field of a baseline document.
+pub fn parse_bench_kind(json: &str) -> Result<String, String> {
+    Ok(parse_json(json)?.str_at("bench")?.to_owned())
 }
 
-/// Extracts the `(name, median_ns)` series from a baseline document
-/// written by [`render_json`] (one result object per line).
-pub fn parse_results(json: &str) -> Vec<(String, u128)> {
-    json.lines()
-        .filter_map(|line| {
-            let name = line.split("\"name\":").nth(1)?.split('"').nth(1)?;
-            let ns = line
-                .split("\"median_ns\":")
-                .nth(1)?
-                .trim()
-                .trim_end_matches(['}', ',', ' '])
-                .trim();
-            Some((name.to_owned(), ns.parse::<u128>().ok()?))
+/// Reads the `(name, median_ns)` series of a baseline document. A result
+/// without a string `name` or an integer `median_ns` is an error, so no
+/// series silently drops out of the gate.
+pub fn parse_results(json: &str) -> Result<Vec<(String, u128)>, String> {
+    parse_json(json)?
+        .arr_at("results")?
+        .iter()
+        .map(|result| {
+            Ok((
+                result.str_at("name")?.to_owned(),
+                result.num_at("median_ns")?,
+            ))
         })
         .collect()
 }
 
-/// Extracts the `(key, value)` pairs of the `meta` object from a baseline
-/// document written by [`render_json`] (one `"key": value` pair per line;
-/// values are bare JSON scalars). Documents without a `meta` object yield
-/// an empty vector.
-pub fn parse_meta(json: &str) -> Vec<(String, String)> {
-    json.lines()
-        .filter_map(|line| {
-            // Meta lines are the only `"key": value` lines with no brackets
-            // (results carry `{`/`}`, the `results` key opens `[`, and the
-            // document keys quote their values).
-            if line.contains(['{', '}', '[', ']']) {
-                return None;
-            }
-            let (key, value) = line.trim().split_once(':')?;
-            let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let value = value.trim().trim_end_matches(',').trim();
-            if value.is_empty() || value.starts_with('"') {
-                return None;
-            }
-            Some((key.to_owned(), value.to_owned()))
-        })
-        .collect()
+/// Reads the `(key, value)` pairs of a baseline document's `meta` object,
+/// values in their number spelling. Documents without a `meta` object
+/// yield an empty vector.
+pub fn parse_meta(json: &str) -> Result<Vec<(String, String)>, String> {
+    match parse_json(json)?.get("meta") {
+        None => Ok(Vec::new()),
+        Some(Json::Obj(fields)) => fields
+            .iter()
+            .map(|(key, value)| match value {
+                Json::Num(raw) => Ok((key.clone(), raw.clone())),
+                other => Err(format!(
+                    "meta value {key:?} must be a number, got {other:?}"
+                )),
+            })
+            .collect(),
+        Some(other) => Err(format!("`meta` must be an object, got {other:?}")),
+    }
 }
 
 /// Writes `json` to `<repo root>/<file>` (the benches' baseline location),
@@ -786,9 +784,9 @@ mod tests {
         let results = vec![("a/b/1".to_owned(), 123u128), ("c/d/2".to_owned(), 45)];
         let meta = vec![("speedup".to_owned(), "2.50".to_owned())];
         let json = render_json("driver", "ns/run (median)", &results, &meta);
-        assert_eq!(parse_bench_kind(&json).as_deref(), Some("driver"));
-        assert_eq!(parse_results(&json), results);
-        assert_eq!(parse_meta(&json), meta);
+        assert_eq!(parse_bench_kind(&json).as_deref(), Ok("driver"));
+        assert_eq!(parse_results(&json), Ok(results));
+        assert_eq!(parse_meta(&json), Ok(meta));
     }
 
     #[test]
@@ -799,9 +797,12 @@ mod tests {
             ("speedup_jobs8_vs_jobs1".to_owned(), "1.00".to_owned()),
         ];
         let json = render_json("driver", "ns/run", &[], &meta);
-        assert_eq!(parse_meta(&json), meta);
+        assert_eq!(parse_meta(&json), Ok(meta));
         // Documents without a meta object (the proofs baseline) are fine.
-        assert!(parse_meta("{\n  \"bench\": \"proofs\",\n  \"results\": [\n  ]\n}\n").is_empty());
+        assert_eq!(
+            parse_meta("{\n  \"bench\": \"proofs\",\n  \"results\": [\n  ]\n}\n"),
+            Ok(Vec::new())
+        );
     }
 
     #[test]
@@ -810,10 +811,52 @@ mod tests {
         // accept it unchanged.
         let legacy = "{\n  \"bench\": \"proofs\",\n  \"unit\": \"ns/iter (median)\",\n  \
                       \"results\": [\n    {\"name\": \"proofs/parse/2\", \"median_ns\": 1894}\n  ]\n}\n";
-        assert_eq!(parse_bench_kind(legacy).as_deref(), Some("proofs"));
+        assert_eq!(parse_bench_kind(legacy).as_deref(), Ok("proofs"));
         assert_eq!(
             parse_results(legacy),
-            vec![("proofs/parse/2".to_owned(), 1894)]
+            Ok(vec![("proofs/parse/2".to_owned(), 1894)])
         );
+    }
+
+    #[test]
+    fn malformed_results_are_errors_not_dropped_series() {
+        let results = vec![("a/1".to_owned(), 10u128), ("b/2".to_owned(), 20)];
+        let json = render_json("driver", "ns/run", &results, &[]);
+        for (bad, needle) in [
+            (
+                json.replace("\"median_ns\": 20", "\"median_ns\": 5.9e8"),
+                "bad number",
+            ),
+            (
+                json.replace("\"median_ns\": 20", "\"median_ns\": \"20\""),
+                "must be a number",
+            ),
+            (json.replace(", \"median_ns\": 20", ""), "missing field"),
+            (json.replace("20}\n", "20\n"), "expected ','"),
+        ] {
+            let err = parse_results(&bad).expect_err(&bad);
+            assert!(err.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn checked_in_baselines_re_render_byte_identically() {
+        for file in ["BENCH_driver.json", "BENCH_proofs.json"] {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let json = std::fs::read_to_string(&path).expect(&path);
+            let bench = parse_bench_kind(&json).unwrap();
+            let unit = parse_json(&json)
+                .unwrap()
+                .str_at("unit")
+                .unwrap()
+                .to_owned();
+            let rendered = render_json(
+                &bench,
+                &unit,
+                &parse_results(&json).unwrap(),
+                &parse_meta(&json).unwrap(),
+            );
+            assert_eq!(rendered, json, "{file}");
+        }
     }
 }

@@ -38,6 +38,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hhl_assert::EvalCache;
+use hhl_driver::json::escape_json;
+pub use hhl_driver::json::{parse_json, Json};
 use hhl_driver::metrics::{counter_line, MetricsRegistry, Stage};
 use hhl_driver::{Scheduler, ShardCounters, ShardStats, VerdictStore};
 use hhl_lang::{
@@ -281,47 +283,41 @@ impl Response {
     /// Parses a [`Response::render`] line back (used by the differential
     /// tests and by clients scripting against the daemon).
     pub fn parse(line: &str) -> Result<Response, String> {
-        let Json::Obj(fields) = parse_json(line)? else {
-            return Err("response must be a JSON object".to_owned());
-        };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        match get("schema") {
-            Some(Json::Str(s)) if s == RESPONSE_SCHEMA => {}
-            other => return Err(format!("unsupported response schema {other:?}")),
-        }
-        let id = match get("id") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("response needs a string `id`".to_owned()),
-        };
-        let exit_code = match get("exit") {
-            Some(Json::Num(n)) => n
-                .parse::<u8>()
-                .map_err(|_| format!("bad exit code {n:?}"))?,
-            _ => return Err("response needs a numeric `exit`".to_owned()),
-        };
-        let cached = matches!(get("cached"), Some(Json::Bool(true)));
-        let stdout = match get("stdout") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("response needs a string `stdout`".to_owned()),
-        };
-        let stderr = match get("stderr") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|item| match item {
-                    Json::Str(s) => Ok(s.clone()),
-                    other => Err(format!("stderr entries must be strings, got {other:?}")),
-                })
-                .collect::<Result<Vec<String>, String>>()?,
-            None => Vec::new(),
-            _ => return Err("`stderr` must be an array of strings".to_owned()),
-        };
+        let (doc, id) = response_doc(line)?;
         Ok(Response {
             id,
-            exit_code,
-            cached,
-            stdout,
-            stderr,
+            exit_code: doc.num_at("exit")?,
+            cached: doc.get("cached") == Some(&Json::Bool(true)),
+            stdout: doc.str_at("stdout")?.to_owned(),
+            stderr: stderr_lines(&doc)?,
         })
+    }
+}
+
+/// Parses a [`RESPONSE_SCHEMA`] line — a buffered [`Response`] or a
+/// [`Frame`] — checks its schema tag and reads its `id`.
+fn response_doc(line: &str) -> Result<(Json, String), String> {
+    let doc = parse_json(line)?;
+    match doc.get("schema") {
+        Some(Json::Str(s)) if s == RESPONSE_SCHEMA => {}
+        other => return Err(format!("unsupported response schema {other:?}")),
+    }
+    let id = doc.str_at("id")?.to_owned();
+    Ok((doc, id))
+}
+
+/// The optional `stderr` array of a response or end frame.
+fn stderr_lines(doc: &Json) -> Result<Vec<String>, String> {
+    match doc.get("stderr") {
+        Some(Json::Arr(items)) => items
+            .iter()
+            .map(|item| match item {
+                Json::Str(s) => Ok(s.clone()),
+                other => Err(format!("stderr entries must be strings, got {other:?}")),
+            })
+            .collect(),
+        None => Ok(Vec::new()),
+        _ => Err("`stderr` must be an array of strings".to_owned()),
     }
 }
 
@@ -412,57 +408,21 @@ impl Frame {
     /// (no `"frame"` field) is an error here — callers that accept both
     /// should try [`Response::parse`] first.
     pub fn parse(line: &str) -> Result<Frame, String> {
-        let Json::Obj(fields) = parse_json(line)? else {
-            return Err("frame must be a JSON object".to_owned());
-        };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        match get("schema") {
-            Some(Json::Str(s)) if s == RESPONSE_SCHEMA => {}
-            other => return Err(format!("unsupported response schema {other:?}")),
-        }
-        let id = match get("id") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("frame needs a string `id`".to_owned()),
-        };
-        let seq = match get("seq") {
-            Some(Json::Num(n)) => n.parse::<u64>().map_err(|_| format!("bad seq {n:?}"))?,
-            _ => return Err("frame needs a numeric `seq`".to_owned()),
-        };
-        match get("frame") {
-            Some(Json::Str(kind)) if kind == "chunk" => {
-                let stdout = match get("stdout") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => return Err("chunk frame needs a string `stdout`".to_owned()),
-                };
-                Ok(Frame::Chunk { id, seq, stdout })
-            }
-            Some(Json::Str(kind)) if kind == "end" => {
-                let exit_code = match get("exit") {
-                    Some(Json::Num(n)) => n
-                        .parse::<u8>()
-                        .map_err(|_| format!("bad exit code {n:?}"))?,
-                    _ => return Err("end frame needs a numeric `exit`".to_owned()),
-                };
-                let cached = matches!(get("cached"), Some(Json::Bool(true)));
-                let stderr = match get("stderr") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(|item| match item {
-                            Json::Str(s) => Ok(s.clone()),
-                            other => Err(format!("stderr entries must be strings, got {other:?}")),
-                        })
-                        .collect::<Result<Vec<String>, String>>()?,
-                    None => Vec::new(),
-                    _ => return Err("`stderr` must be an array of strings".to_owned()),
-                };
-                Ok(Frame::End {
-                    id,
-                    seq,
-                    exit_code,
-                    cached,
-                    stderr,
-                })
-            }
+        let (doc, id) = response_doc(line)?;
+        let seq = doc.num_at("seq")?;
+        match doc.get("frame") {
+            Some(Json::Str(kind)) if kind == "chunk" => Ok(Frame::Chunk {
+                id,
+                seq,
+                stdout: doc.str_at("stdout")?.to_owned(),
+            }),
+            Some(Json::Str(kind)) if kind == "end" => Ok(Frame::End {
+                id,
+                seq,
+                exit_code: doc.num_at("exit")?,
+                cached: doc.get("cached") == Some(&Json::Bool(true)),
+                stderr: stderr_lines(&doc)?,
+            }),
             other => Err(format!("bad `frame` discriminator {other:?}")),
         }
     }
@@ -523,193 +483,6 @@ impl Frame {
     }
 }
 
-/// Escapes a string for embedding in a JSON double-quoted literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON value. Numbers keep their raw spelling: the request
-/// schema only carries small integers, and deferring the parse keeps this
-/// module free of float round-tripping concerns.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, unparsed.
-    Num(String),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, fields in document order (duplicates kept; lookups take
-    /// the first).
-    Obj(Vec<(String, Json)>),
-}
-
-struct Cursor<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!("expected {want:?} at byte {}, got {c:?}", self.pos)),
-            None => Err(format!("expected {want:?}, got end of input")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".to_owned()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let digit = self
-                                .bump()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + digit;
-                        }
-                        // Surrogate pairs are not reassembled: the request
-                        // schema is ASCII-safe and lone surrogates map to
-                        // the replacement character rather than an error.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            None => Err("unexpected end of input".to_owned()),
-            Some('{') => {
-                self.bump();
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some('}') {
-                    self.bump();
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(':')?;
-                    let value = self.value()?;
-                    fields.push((key, value));
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(',') => continue,
-                        Some('}') => return Ok(Json::Obj(fields)),
-                        other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                    }
-                }
-            }
-            Some('[') => {
-                self.bump();
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(']') {
-                    self.bump();
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(',') => continue,
-                        Some(']') => return Ok(Json::Arr(items)),
-                        other => return Err(format!("expected ',' or ']', got {other:?}")),
-                    }
-                }
-            }
-            Some('"') => Ok(Json::Str(self.string()?)),
-            Some('t') => self.literal("true", Json::Bool(true)),
-            Some('f') => self.literal("false", Json::Bool(false)),
-            Some('n') => self.literal("null", Json::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => {
-                let start = self.pos;
-                while matches!(self.peek(), Some('-' | '+' | '.' | 'e' | 'E' | '0'..='9')) {
-                    self.bump();
-                }
-                Ok(Json::Num(self.src[start..self.pos].to_owned()))
-            }
-            Some(c) => Err(format!("unexpected character {c:?}")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.src[self.pos..].starts_with(word) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-}
-
-/// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut cursor = Cursor { src: text, pos: 0 };
-    let value = cursor.value()?;
-    cursor.skip_ws();
-    if cursor.pos != text.len() {
-        return Err(format!("trailing input at byte {}", cursor.pos));
-    }
-    Ok(value)
-}
-
 /// Parses one serve request line (a [`REQUEST_SCHEMA`] document).
 ///
 /// ```json
@@ -721,11 +494,11 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// Every field except `command` is optional and defaults to the one-shot
 /// CLI's flagless behavior.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let Json::Obj(fields) = parse_json(line)? else {
+    let doc = parse_json(line)?;
+    if !matches!(doc, Json::Obj(_)) {
         return Err("request must be a JSON object".to_owned());
-    };
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let action = match get("command") {
+    }
+    let action = match doc.get("command") {
         Some(Json::Str(name)) => {
             Action::from_name(name).ok_or_else(|| format!("unknown command {name:?}"))?
         }
@@ -733,12 +506,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         None => return Err("request needs a `command`".to_owned()),
     };
     let mut req = Request::new(action, Vec::new());
-    match get("id") {
+    match doc.get("id") {
         Some(Json::Str(id)) => req.id = id.clone(),
         Some(other) => return Err(format!("`id` must be a string, got {other:?}")),
         None => {}
     }
-    match get("files") {
+    match doc.get("files") {
         Some(Json::Arr(items)) => {
             for item in items {
                 match item {
@@ -750,7 +523,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some(other) => return Err(format!("`files` must be an array, got {other:?}")),
         None => {}
     }
-    match get("jobs") {
+    match doc.get("jobs") {
         Some(Json::Num(n)) => match n.parse::<usize>() {
             Ok(n) if n > 0 => req.jobs = Some(n),
             _ => return Err(format!("bad `jobs` value {n:?} (need a positive integer)")),
@@ -758,37 +531,36 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some(Json::Null) | None => {}
         Some(other) => return Err(format!("`jobs` must be a number, got {other:?}")),
     }
-    match get("cache") {
-        Some(Json::Obj(cache)) => {
-            let get = |key: &str| cache.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            match get("dir") {
+    match doc.get("cache") {
+        Some(cache @ Json::Obj(_)) => {
+            match cache.get("dir") {
                 Some(Json::Str(dir)) => req.cache.dir = Some(dir.clone()),
                 Some(Json::Null) | None => {}
                 Some(other) => return Err(format!("`cache.dir` must be a string, got {other:?}")),
             }
-            if let Some(Json::Bool(fresh)) = get("fresh") {
+            if let Some(Json::Bool(fresh)) = cache.get("fresh") {
                 req.cache.fresh = *fresh;
             }
-            if let Some(Json::Bool(no_cache)) = get("no_cache") {
+            if let Some(Json::Bool(no_cache)) = cache.get("no_cache") {
                 req.cache.use_cache = !no_cache;
             }
         }
         Some(other) => return Err(format!("`cache` must be an object, got {other:?}")),
         None => {}
     }
-    match get("report") {
+    match doc.get("report") {
         Some(Json::Str(format)) if format == "json" => req.report_json = true,
         Some(Json::Str(format)) if format == "text" => {}
         Some(other) => return Err(format!("bad `report` format {other:?} (json or text)")),
         None => {}
     }
-    match get("session") {
+    match doc.get("session") {
         Some(Json::Str(name)) => req.session = Some(name.clone()),
         Some(Json::Null) | None => {}
         Some(other) => return Err(format!("`session` must be a string, got {other:?}")),
     }
     for (key, slot) in [("keep", &mut req.gc_keep), ("memo", &mut req.gc_memo)] {
-        match get(key) {
+        match doc.get(key) {
             Some(Json::Num(n)) => match n.parse::<usize>() {
                 Ok(n) => *slot = Some(n),
                 Err(_) => return Err(format!("bad `{key}` value {n:?}")),
@@ -797,7 +569,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Some(other) => return Err(format!("`{key}` must be a number, got {other:?}")),
         }
     }
-    match get("stream") {
+    match doc.get("stream") {
         Some(Json::Bool(stream)) => req.stream = *stream,
         Some(Json::Null) | None => {}
         Some(other) => return Err(format!("`stream` must be a boolean, got {other:?}")),

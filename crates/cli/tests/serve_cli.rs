@@ -200,6 +200,17 @@ fn malformed_lines_get_an_error_response_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn escaped_non_bmp_ids_are_echoed_verbatim() {
+    // `\ud83d\ude00` is how `json.dumps` (and most encoders) escape 😀: the
+    // surrogate pair must decode to one character, not two U+FFFD.
+    let mut daemon = Daemon::spawn("emoji");
+    let reply = daemon.send_line(r#"{"command":"status","id":"\ud83d\ude00"}"#);
+    assert_eq!(reply.exit_code, 0);
+    assert_eq!(reply.id, "😀");
+    daemon.shutdown();
+}
+
+#[test]
 fn invalid_utf8_costs_the_request_not_the_daemon() {
     let spec = example("specs", "minimum.hhl");
     let mut daemon = Daemon::spawn("utf8");

@@ -13,7 +13,9 @@
 //! supplies the per-file closure (parse → dispatch → verdict, sharing one
 //! `hhl_lang::memo::SemCache` across workers via `Arc`) and the spec
 //! fingerprints that key the persistent store, and the bench suite reuses
-//! the same pool to measure 1-vs-N-thread throughput.
+//! the same pool to measure 1-vs-N-thread throughput. The workspace's one
+//! JSON codec ([`json`]) lives here too, since every crate that reads JSON
+//! already depends on this one.
 //!
 //! Division of responsibility:
 //!
@@ -31,6 +33,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod report;

@@ -20,15 +20,17 @@
 //!   `(subsystem, key, value)` triples and rendered by one formatter:
 //!   `[subsystem] key=value key=value ...`, stderr only.
 //!
-//! The JSON surface is hand-rolled (the workspace is offline — no serde):
-//! [`render_report`] emits a line-oriented `hhl-report v1` document and
-//! [`parse_report`] reads it back, with `emit ∘ parse ∘ emit = emit` as
-//! the round-trip contract enforced by tests and `hhl-bench report-check`.
+//! The JSON surface uses the workspace's one codec ([`crate::json`]):
+//! [`render_report`] emits the `hhl-report v1` document from a fixed
+//! template and [`parse_report`] reads it back by walking the parsed tree,
+//! with `emit ∘ parse ∘ emit = emit` as the round-trip contract enforced by
+//! tests and `hhl-bench report-check`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use crate::json::{escape_json, parse_json, Json};
 use crate::report::{BatchReport, FileStatus};
 
 /// Schema tag on every JSON report; bumped on any layout change.
@@ -512,7 +514,7 @@ pub struct BuildInfo {
     pub version: String,
     /// Verdict-store schema tag (`hhl-verdict v2`).
     pub verdict_schema: String,
-    /// Memo-snapshot schema tag (`hhl-memo v2`).
+    /// Memo-snapshot schema tag (`hhl-memo v3`).
     pub memo_schema: String,
 }
 
@@ -685,55 +687,11 @@ impl ReportDoc {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape_json(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code =
-                    u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?);
-            }
-            other => return Err(format!("bad escape \\{other:?}")),
-        }
-    }
-    Ok(out)
-}
-
-/// Renders a [`ReportDoc`] as the line-oriented `hhl-report v1` JSON text.
+/// Renders a [`ReportDoc`] as the `hhl-report v1` JSON text.
 ///
-/// Every array element is one line, which keeps the document greppable and
-/// the parser simple. The layout is deterministic: re-rendering a parsed
-/// document reproduces the input byte-for-byte.
+/// Every array element is one line, which keeps the document greppable.
+/// The layout is deterministic: re-rendering a parsed document reproduces
+/// the input byte-for-byte.
 pub fn render_report(doc: &ReportDoc) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -833,283 +791,119 @@ fn comma(i: usize, len: usize) -> &'static str {
     }
 }
 
-fn field_str(line: &str, key: &str) -> Result<String, String> {
-    let needle = format!("\"{key}\": \"");
-    let start = line
-        .find(&needle)
-        .ok_or_else(|| format!("missing string field {key:?} in {line:?}"))?
-        + needle.len();
-    let rest = &line[start..];
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
+/// The top-level keys of an `hhl-report v1` document, in render order.
+const REPORT_KEYS: [&str; 7] = [
+    "schema", "tool", "summary", "files", "stages", "rules", "counters",
+];
+
+/// Reads one `["name", n, ...]` tuple carrying exactly `N` numbers.
+fn tuple<const N: usize>(element: &Json) -> Result<(String, [u64; N]), String> {
+    let bad = || format!("bad tuple {element:?}");
+    let Json::Arr(items) = element else {
+        return Err(bad());
+    };
+    let name = match items.split_first() {
+        Some((Json::Str(name), nums)) if nums.len() == N => name.clone(),
+        _ => return Err(bad()),
+    };
+    let mut nums = [0; N];
+    for (slot, item) in nums.iter_mut().zip(&items[1..]) {
+        *slot = item.as_num().ok_or_else(bad)?;
     }
-    let end = end.ok_or_else(|| format!("unterminated string field {key:?}"))?;
-    unescape_json(&rest[..end])
-}
-
-fn field_num(line: &str, key: &str) -> Result<String, String> {
-    let needle = format!("\"{key}\": ");
-    let start = line
-        .find(&needle)
-        .ok_or_else(|| format!("missing numeric field {key:?} in {line:?}"))?
-        + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find([',', '}', ']'])
-        .ok_or_else(|| format!("unterminated numeric field {key:?}"))?;
-    Ok(rest[..end].trim().to_owned())
-}
-
-fn field_u64(line: &str, key: &str) -> Result<u64, String> {
-    let raw = field_num(line, key)?;
-    raw.parse().map_err(|_| format!("bad u64 {key:?}: {raw:?}"))
-}
-
-fn field_u128(line: &str, key: &str) -> Result<u128, String> {
-    let raw = field_num(line, key)?;
-    raw.parse()
-        .map_err(|_| format!("bad u128 {key:?}: {raw:?}"))
-}
-
-fn field_f64(line: &str, key: &str) -> Result<f64, String> {
-    let raw = field_num(line, key)?;
-    raw.parse().map_err(|_| format!("bad f64 {key:?}: {raw:?}"))
-}
-
-/// Extracts the bracketed block after `"key": [` honouring nesting and
-/// quoted strings; returns the content between the outer brackets.
-fn bracket_block<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let needle = format!("\"{key}\": [");
-    let start = line
-        .find(&needle)
-        .ok_or_else(|| format!("missing array field {key:?} in {line:?}"))?
-        + needle.len();
-    let rest = &line[start..];
-    let mut depth = 1usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_string => escaped = true,
-            '"' => in_string = !in_string,
-            '[' if !in_string => depth += 1,
-            ']' if !in_string => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(&rest[..i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    Err(format!("unterminated array field {key:?}"))
-}
-
-/// Splits array content on top-level commas (ignoring commas inside
-/// brackets or strings).
-fn split_top_level(content: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut start = 0usize;
-    for (i, c) in content.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_string => escaped = true,
-            '"' => in_string = !in_string,
-            '[' if !in_string => depth += 1,
-            ']' if !in_string => depth = depth.saturating_sub(1),
-            ',' if !in_string && depth == 0 => {
-                parts.push(content[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    let tail = content[start..].trim();
-    if !tail.is_empty() {
-        parts.push(tail);
-    }
-    parts
-}
-
-/// Parses one `["name",n]` or `["name",n,m]` tuple.
-fn parse_tuple(element: &str) -> Result<(String, Vec<u64>), String> {
-    let inner = element
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("bad tuple {element:?}"))?;
-    let parts = split_top_level(inner);
-    let name = parts
-        .first()
-        .and_then(|p| p.strip_prefix('"'))
-        .and_then(|p| p.strip_suffix('"'))
-        .ok_or_else(|| format!("bad tuple name in {element:?}"))?;
-    let mut nums = Vec::new();
-    for part in &parts[1..] {
-        nums.push(
-            part.parse::<u64>()
-                .map_err(|_| format!("bad tuple number {part:?}"))?,
-        );
-    }
-    Ok((unescape_json(name)?, nums))
+    Ok((name, nums))
 }
 
 /// Parses an `hhl-report v1` document produced by [`render_report`].
 ///
-/// Round-trip contract: `render_report(&parse_report(&text)?) == text`
-/// for any `text` that [`render_report`] emitted.
+/// The reader walks the parsed JSON tree, so any layout of the same
+/// document (re-indented, joined onto one line) yields the same
+/// [`ReportDoc`]. Round-trip contract: `render_report(&parse_report(&text)?)
+/// == text` for any `text` that [`render_report`] emitted; `mean_ns` and
+/// `stddev_ns` are read back from their one-decimal spelling.
 pub fn parse_report(text: &str) -> Result<ReportDoc, String> {
-    #[derive(PartialEq)]
-    enum Section {
-        Top,
-        Files,
-        Stages,
-        Rules,
-        Counters,
+    let doc = parse_json(text)?;
+    let Json::Obj(fields) = &doc else {
+        return Err("report must be a JSON object".to_owned());
+    };
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(key, _)| !REPORT_KEYS.contains(&key.as_str()))
+    {
+        return Err(format!("unrecognised top-level key {key:?}"));
     }
-    let mut section = Section::Top;
-    let mut build: Option<BuildInfo> = None;
-    let mut summary: Option<ReportSummary> = None;
-    let mut schema_seen = false;
-    let mut files = Vec::new();
-    let mut stages = Vec::new();
-    let mut rules = Vec::new();
-    let mut counters = Vec::new();
-
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line == "{" || line == "}" {
-            continue;
-        }
-        if section == Section::Top {
-            if line.starts_with("\"schema\":") {
-                let schema = field_str(line, "schema")?;
-                if schema != REPORT_SCHEMA {
-                    return Err(format!(
-                        "schema mismatch: expected {REPORT_SCHEMA:?}, found {schema:?}"
-                    ));
-                }
-                schema_seen = true;
-            } else if line.starts_with("\"tool\":") {
-                build = Some(BuildInfo {
-                    name: field_str(line, "name")?,
-                    version: field_str(line, "version")?,
-                    verdict_schema: field_str(line, "verdict_store")?,
-                    memo_schema: field_str(line, "memo_snapshot")?,
-                });
-            } else if line.starts_with("\"summary\":") {
-                summary = Some(ReportSummary {
-                    files: field_u64(line, "files")?,
-                    passed: field_u64(line, "passed")?,
-                    failed_as_expected: field_u64(line, "failed_as_expected")?,
-                    unexpected: field_u64(line, "unexpected")?,
-                    errors: field_u64(line, "errors")?,
-                });
-            } else if line == "\"files\": [" {
-                section = Section::Files;
-            } else if line == "\"stages\": [" {
-                section = Section::Stages;
-            } else if line == "\"rules\": [" {
-                section = Section::Rules;
-            } else if line == "\"counters\": [" {
-                section = Section::Counters;
-            } else if line == "\"files\": []," {
-                // Empty sections render inline only via the loop producing
-                // nothing between the brackets, so this arm never fires;
-                // kept for forward tolerance.
-            } else {
-                return Err(format!("unrecognised top-level line {line:?}"));
-            }
-            continue;
-        }
-        if line == "]," || line == "]" {
-            section = Section::Top;
-            continue;
-        }
-        match section {
-            Section::Files => {
-                let stage_block = bracket_block(line, "stages")?;
-                let mut stage_pairs = Vec::new();
-                for element in split_top_level(stage_block) {
-                    let (name, nums) = parse_tuple(element)?;
-                    let ns = *nums
-                        .first()
-                        .ok_or_else(|| format!("stage tuple lacks ns: {element:?}"))?;
-                    stage_pairs.push((name, ns));
-                }
-                let rule_block = bracket_block(line, "rules")?;
-                let mut rule_triples = Vec::new();
-                for element in split_top_level(rule_block) {
-                    let (name, nums) = parse_tuple(element)?;
-                    if nums.len() != 2 {
-                        return Err(format!("rule tuple needs count+ns: {element:?}"));
-                    }
-                    rule_triples.push((name, nums[0], nums[1]));
-                }
-                files.push(ReportFileEntry {
-                    path: field_str(line, "path")?,
-                    status: field_str(line, "status")?,
-                    detail: field_str(line, "detail")?,
-                    stages: stage_pairs,
-                    rules: rule_triples,
-                });
-            }
-            Section::Stages => stages.push(ReportStageEntry {
-                stage: field_str(line, "stage")?,
-                samples: field_u64(line, "samples")?,
-                total_ns: field_u128(line, "total_ns")?,
-                mean_ns: field_f64(line, "mean_ns")?,
-                stddev_ns: field_f64(line, "stddev_ns")?,
-                min_ns: field_u64(line, "min_ns")?,
-                max_ns: field_u64(line, "max_ns")?,
-            }),
-            Section::Rules => rules.push(ReportRuleEntry {
-                rule: field_str(line, "rule")?,
-                count: field_u64(line, "count")?,
-                samples: field_u64(line, "samples")?,
-                total_ns: field_u128(line, "total_ns")?,
-                mean_ns: field_f64(line, "mean_ns")?,
-                stddev_ns: field_f64(line, "stddev_ns")?,
-                min_ns: field_u64(line, "min_ns")?,
-                max_ns: field_u64(line, "max_ns")?,
-            }),
-            Section::Counters => counters.push((
-                field_str(line, "subsystem")?,
-                field_str(line, "key")?,
-                field_u64(line, "value")?,
-            )),
-            Section::Top => unreachable!(),
-        }
+    let schema = doc.str_at("schema")?;
+    if schema != REPORT_SCHEMA {
+        return Err(format!(
+            "schema mismatch: expected {REPORT_SCHEMA:?}, found {schema:?}"
+        ));
     }
-
-    if !schema_seen {
-        return Err("missing \"schema\" field".to_owned());
-    }
+    let tool = doc.get("tool").ok_or("missing \"tool\" object")?;
+    let summary = doc.get("summary").ok_or("missing \"summary\" object")?;
+    let files = doc.arr_at("files")?.iter().map(|file| {
+        Ok(ReportFileEntry {
+            path: file.str_at("path")?.to_owned(),
+            status: file.str_at("status")?.to_owned(),
+            detail: file.str_at("detail")?.to_owned(),
+            stages: file
+                .arr_at("stages")?
+                .iter()
+                .map(|t| tuple(t).map(|(name, [ns])| (name, ns)))
+                .collect::<Result<_, String>>()?,
+            rules: file
+                .arr_at("rules")?
+                .iter()
+                .map(|t| tuple(t).map(|(name, [count, ns])| (name, count, ns)))
+                .collect::<Result<_, String>>()?,
+        })
+    });
+    let stages = doc.arr_at("stages")?.iter().map(|stage| {
+        Ok(ReportStageEntry {
+            stage: stage.str_at("stage")?.to_owned(),
+            samples: stage.num_at("samples")?,
+            total_ns: stage.num_at("total_ns")?,
+            mean_ns: stage.num_at("mean_ns")?,
+            stddev_ns: stage.num_at("stddev_ns")?,
+            min_ns: stage.num_at("min_ns")?,
+            max_ns: stage.num_at("max_ns")?,
+        })
+    });
+    let rules = doc.arr_at("rules")?.iter().map(|rule| {
+        Ok(ReportRuleEntry {
+            rule: rule.str_at("rule")?.to_owned(),
+            count: rule.num_at("count")?,
+            samples: rule.num_at("samples")?,
+            total_ns: rule.num_at("total_ns")?,
+            mean_ns: rule.num_at("mean_ns")?,
+            stddev_ns: rule.num_at("stddev_ns")?,
+            min_ns: rule.num_at("min_ns")?,
+            max_ns: rule.num_at("max_ns")?,
+        })
+    });
+    let counters = doc.arr_at("counters")?.iter().map(|counter| {
+        Ok((
+            counter.str_at("subsystem")?.to_owned(),
+            counter.str_at("key")?.to_owned(),
+            counter.num_at("value")?,
+        ))
+    });
     Ok(ReportDoc {
-        build: build.ok_or("missing \"tool\" object")?,
-        summary: summary.ok_or("missing \"summary\" object")?,
-        files,
-        stages,
-        rules,
-        counters,
+        build: BuildInfo {
+            name: tool.str_at("name")?.to_owned(),
+            version: tool.str_at("version")?.to_owned(),
+            verdict_schema: tool.str_at("verdict_store")?.to_owned(),
+            memo_schema: tool.str_at("memo_snapshot")?.to_owned(),
+        },
+        summary: ReportSummary {
+            files: summary.num_at("files")?,
+            passed: summary.num_at("passed")?,
+            failed_as_expected: summary.num_at("failed_as_expected")?,
+            unexpected: summary.num_at("unexpected")?,
+            errors: summary.num_at("errors")?,
+        },
+        files: files.collect::<Result<_, String>>()?,
+        stages: stages.collect::<Result<_, String>>()?,
+        rules: rules.collect::<Result<_, String>>()?,
+        counters: counters.collect::<Result<_, String>>()?,
     })
 }
 
@@ -1259,7 +1053,7 @@ mod tests {
             name: "hhl".to_owned(),
             version: "0.1.0".to_owned(),
             verdict_schema: "hhl-verdict v2".to_owned(),
-            memo_schema: "hhl-memo v2".to_owned(),
+            memo_schema: "hhl-memo v3".to_owned(),
         };
         ReportDoc::assemble(build, &report, &registry.snapshot())
     }
@@ -1285,8 +1079,44 @@ mod tests {
     }
 
     #[test]
-    fn escape_and_unescape_are_inverse() {
-        let nasty = "a\"b\\c\nd\te\u{1}f";
-        assert_eq!(unescape_json(&escape_json(nasty)).unwrap(), nasty);
+    fn parse_ignores_layout() {
+        let doc = sample_doc();
+        let text = render_report(&doc);
+        // The whole document on one line, and the same document with extra
+        // whitespace around every comma, colon and opening bracket (none of
+        // the sample's strings contains a comma, a bracket or `": `).
+        let joined: String = text.lines().map(str::trim).collect();
+        let spaced = text
+            .replace(',', " ,\n\t")
+            .replace("\": ", "\" \r\n:  ")
+            .replace('[', "[ \n")
+            .replace('{', " {  ");
+        for variant in [joined, spaced] {
+            let parsed = parse_report(&variant).expect(&variant);
+            assert_eq!(parsed, doc, "{variant}");
+            assert_eq!(render_report(&parsed), text);
+        }
+    }
+
+    #[test]
+    fn parse_rejects_unknown_keys_and_missing_objects() {
+        let text = render_report(&sample_doc());
+        let extra = text.replacen("{\n", "{\n  \"extra\": 1,\n", 1);
+        let err = parse_report(&extra).unwrap_err();
+        assert!(
+            err.contains("unrecognised top-level key \"extra\""),
+            "{err}"
+        );
+        let no_tool: String = text.lines().filter(|l| !l.contains("\"tool\"")).collect();
+        let err = parse_report(&no_tool).unwrap_err();
+        assert!(err.contains("missing \"tool\""), "{err}");
+        let no_summary: String = text
+            .lines()
+            .filter(|l| !l.contains("\"summary\""))
+            .collect();
+        let err = parse_report(&no_summary).unwrap_err();
+        assert!(err.contains("missing \"summary\""), "{err}");
+        let bad_tuple = text.replace("[\"parse\",120]", "[\"parse\"]");
+        assert!(parse_report(&bad_tuple).unwrap_err().contains("bad tuple"));
     }
 }

@@ -829,67 +829,90 @@ mod tests {
         //   * A's job 1 waits until B's submitter is parked inside B0,
         //     which guarantees B is pending before the worker's next sweep.
         // Round-robin sweeping must run some B job before the last A job.
+        //
+        // The choreography needs each submitter to run its own job 0. A
+        // submitter descheduled before popping it can lose it to the pool
+        // worker, which steals from the back of role 0's deque; blocking
+        // there would leave no thread for the quick jobs. A job 0 that runs
+        // off its submitter's thread therefore aborts the attempt: every
+        // wait gives up, the schedule is discarded, and the choreography
+        // runs again on a fresh pool.
         #[derive(Default)]
         struct State {
             order: Vec<(char, usize)>,
             b_started: bool,
+            stolen: bool,
         }
-        let gate = Arc::new((Mutex::new(State::default()), Condvar::new()));
-
-        let pool = Arc::new(WorkerPool::with_threads(1));
-        let items: Vec<usize> = (0..5).collect();
-        let submit = |tag: char| {
-            let pool = Arc::clone(&pool);
-            let gate = Arc::clone(&gate);
-            let items = items.clone();
-            std::thread::spawn(move || {
-                let wait_for = |pred: &dyn Fn(&State) -> bool| {
-                    let mut guard = lock(&gate.0);
-                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-                    while !pred(&guard) {
-                        let timeout = deadline
-                            .checked_duration_since(std::time::Instant::now())
-                            .expect("interleave test timed out");
-                        guard = gate
-                            .1
-                            .wait_timeout(guard, timeout)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0;
-                    }
-                };
-                let record = |job: usize| {
-                    lock(&gate.0).order.push((tag, job));
-                    gate.1.notify_all();
-                };
-                pool.run_ordered_exact(&items, 2, |_, &job| match (tag, job) {
-                    (_, 0) => {
-                        if tag == 'b' {
-                            lock(&gate.0).b_started = true;
+        const ATTEMPTS: usize = 20;
+        for _ in 0..ATTEMPTS {
+            let gate = Arc::new((Mutex::new(State::default()), Condvar::new()));
+            let pool = Arc::new(WorkerPool::with_threads(1));
+            let items: Vec<usize> = (0..5).collect();
+            let submit = |tag: char| {
+                let pool = Arc::clone(&pool);
+                let gate = Arc::clone(&gate);
+                let items = items.clone();
+                std::thread::spawn(move || {
+                    let submitter = std::thread::current().id();
+                    let wait_for = |pred: &dyn Fn(&State) -> bool| {
+                        let mut guard = lock(&gate.0);
+                        let deadline =
+                            std::time::Instant::now() + std::time::Duration::from_secs(60);
+                        while !pred(&guard) && !guard.stolen {
+                            let timeout = deadline
+                                .checked_duration_since(std::time::Instant::now())
+                                .expect("interleave test timed out");
+                            guard = gate
+                                .1
+                                .wait_timeout(guard, timeout)
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .0;
+                        }
+                    };
+                    let record = |job: usize| {
+                        lock(&gate.0).order.push((tag, job));
+                        gate.1.notify_all();
+                    };
+                    pool.run_ordered_exact(&items, 2, |_, &job| match (tag, job) {
+                        (_, 0) if std::thread::current().id() != submitter => {
+                            lock(&gate.0).stolen = true;
                             gate.1.notify_all();
                         }
-                        wait_for(&|s: &State| s.order.len() == 8);
-                    }
-                    ('a', 1) => {
-                        wait_for(&|s: &State| s.b_started);
-                        record(1);
-                    }
-                    _ => record(job),
-                });
-            })
-        };
-        let a = submit('a');
-        let b = submit('b');
-        a.join().expect("submitter A panicked");
-        b.join().expect("submitter B panicked");
+                        (_, 0) => {
+                            if tag == 'b' {
+                                lock(&gate.0).b_started = true;
+                                gate.1.notify_all();
+                            }
+                            wait_for(&|s: &State| s.order.len() == 8);
+                        }
+                        ('a', 1) => {
+                            wait_for(&|s: &State| s.b_started);
+                            record(1);
+                        }
+                        _ => record(job),
+                    });
+                })
+            };
+            let a = submit('a');
+            let b = submit('b');
+            a.join().expect("submitter A panicked");
+            b.join().expect("submitter B panicked");
 
-        let order = lock(&gate.0).order.clone();
-        assert_eq!(order.len(), 8, "{order:?}");
-        let first_b = order.iter().position(|&(t, _)| t == 'b').expect("b ran");
-        let last_a = order.iter().rposition(|&(t, _)| t == 'a').expect("a ran");
-        assert!(
-            first_b < last_a,
-            "worker must interleave B's jobs with A's remaining queue: {order:?}"
-        );
+            let state = lock(&gate.0);
+            if state.stolen {
+                continue;
+            }
+            let order = &state.order;
+            assert_eq!(order.len(), 8, "{order:?}");
+            let first_b = order.iter().position(|&(t, _)| t == 'b').expect("b ran");
+            let last_a = order.iter().rposition(|&(t, _)| t == 'a').expect("a ran");
+            assert!(
+                first_b < last_a,
+                "worker must interleave B's jobs with A's remaining queue: {order:?}"
+            );
+            return;
+        }
+        panic!("the pool worker stole a submitter's job 0 in all {ATTEMPTS} attempts");
     }
 
     #[test]

@@ -128,14 +128,14 @@ fn is_word_char(c: char) -> bool {
 }
 
 /// Cursor over one source line, tracking the column for error spans.
-struct Cursor<'a> {
+struct LineCursor<'a> {
     line: usize,
     src: &'a str,
     /// Byte offset into `src`.
     pos: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> LineCursor<'a> {
     fn col(&self) -> usize {
         self.src[..self.pos].chars().count() + 1
     }
@@ -225,7 +225,7 @@ pub fn parse_script(src: &str) -> Result<Script, ScriptError> {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let mut cur = Cursor {
+        let mut cur = LineCursor {
             line,
             src: raw,
             pos: 0,
